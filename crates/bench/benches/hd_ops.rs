@@ -1,10 +1,9 @@
 //! Micro-benchmarks of the HD-computing primitives: binding, Hamming
-//! distance, and the two bundling accumulators, swept over the paper's
-//! dimension range (d ∈ [1 k, 10 k]) — the ablation data behind the
-//! encoder's bit-sliced design choice.
+//! distance, and dense bundling, swept over the paper's dimension range
+//! (d ∈ [1 k, 10 k]).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use laelaps_core::hv::{BitSliceAccumulator, DenseAccumulator, Hypervector};
+use laelaps_core::hv::{DenseAccumulator, Hypervector};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
@@ -27,8 +26,7 @@ fn bench_xor_hamming(c: &mut Criterion) {
 }
 
 fn bench_bundling(c: &mut Criterion) {
-    // The spatial-record hot loop: bundle 64 bound vectors (one mid-size
-    // electrode montage) and threshold.
+    // Bundle 64 vectors (one mid-size electrode montage) and threshold.
     let mut group = c.benchmark_group("bundling_64_vectors");
     group.sample_size(20);
     for &dim in &[1_000usize, 4_000, 10_000] {
@@ -36,15 +34,6 @@ fn bench_bundling(c: &mut Criterion) {
         let vs: Vec<Hypervector> = (0..64)
             .map(|_| Hypervector::random(dim, &mut rng))
             .collect();
-        group.bench_with_input(BenchmarkId::new("bitslice", dim), &dim, |bench, _| {
-            bench.iter(|| {
-                let mut acc = BitSliceAccumulator::new(dim);
-                for v in &vs {
-                    acc.add(black_box(v));
-                }
-                black_box(acc.majority())
-            });
-        });
         group.bench_with_input(BenchmarkId::new("dense", dim), &dim, |bench, _| {
             bench.iter(|| {
                 let mut acc = DenseAccumulator::new(dim);

@@ -49,6 +49,20 @@ pub struct Classification {
 }
 
 impl Classification {
+    /// The classification the two prototype distances imply: the nearer
+    /// prototype's label, interictal on a tie.
+    pub fn from_distances(dist_interictal: usize, dist_ictal: usize) -> Self {
+        Classification {
+            label: if dist_ictal < dist_interictal {
+                Label::Ictal
+            } else {
+                Label::Interictal
+            },
+            dist_interictal,
+            dist_ictal,
+        }
+    }
+
     /// The confidence score `Δ = |η(H,P1) − η(H,P2)|`.
     pub fn delta(&self) -> f64 {
         (self.dist_interictal as f64 - self.dist_ictal as f64).abs()
@@ -129,18 +143,8 @@ impl AssociativeMemory {
     ///
     /// Panics if `query` has a different dimension.
     pub fn classify(&self, query: &Hypervector) -> Classification {
-        let d1 = self.interictal.hamming(query);
-        let d2 = self.ictal.hamming(query);
-        Classification {
-            // Ties favor interictal: an alarm needs strict evidence.
-            label: if d2 < d1 {
-                Label::Ictal
-            } else {
-                Label::Interictal
-            },
-            dist_interictal: d1,
-            dist_ictal: d2,
-        }
+        // Ties favor interictal: an alarm needs strict evidence.
+        Classification::from_distances(self.interictal.hamming(query), self.ictal.hamming(query))
     }
 }
 

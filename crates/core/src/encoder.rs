@@ -1,23 +1,36 @@
 //! The Laelaps HD encoder (paper §III-B, Fig. 1).
 //!
-//! For every input sample (one value per electrode) the encoder:
+//! The window vector `H` is a holographic histogram of every electrode's
+//! LBP codes over the last second, built by two bundles:
 //!
-//! 1. updates each electrode's streaming LBP extractor;
-//! 2. binds each electrode vector to its current code vector and bundles
-//!    across electrodes into the **spatial record**
-//!    `S = [E1⊕C(1) + … + En⊕C(n)]`;
-//! 3. accumulates `S` into the current half-window partial sum.
+//! 1. the **spatial record** of each sample,
+//!    `S = [E1⊕C(1) + … + En⊕C(n)]`, binds each electrode vector (IM2)
+//!    to the vector of its current LBP code (IM1) and takes the majority
+//!    across electrodes;
+//! 2. the **temporal bundle** counts each component of `S` over a half
+//!    window of `hop` samples (0.5 s). `H` sets a component when its
+//!    count over the last two half windows exceeds `hop`, half of the 1 s
+//!    window, so one `H` appears every `hop` samples.
 //!
-//! Every `hop` samples (0.5 s) the current partial sum is combined with the
-//! previous one, thresholded at half of the full 1 s window, and emitted as
-//! the **temporal histogram vector** `H` — a holographic representation of
-//! the LBP-code histogram across all electrodes for the last second.
+//! [`Encoder::push_frame`] has the shape of the paper's GPU kernel
+//! (Fig. 2), which runs word-outer and electrodes-inner over a whole
+//! chunk of samples. A frame only advances the electrodes' LBP
+//! extractors and stores their codes in a `hop × electrodes` buffer. On
+//! the hop-th frame of a half window, one pass of the encode kernel
+//! (`encoder::kernel`) over the buffer computes the half window's counts
+//! with bit-sliced circuits and emits `H`. No hypervector is built
+//! between the codes and `H`, and nothing allocates but the returned
+//! `H`. [`SpatialEncoder::encode`] runs the kernel's spatial circuit for
+//! one frame.
+
+mod kernel;
 
 use crate::config::LaelapsConfig;
 use crate::error::{LaelapsError, Result};
-use crate::hv::{BitSliceAccumulator, Hypervector, ItemMemory, TiePolicy};
+use crate::hv::{Hypervector, ItemMemory};
 use crate::lbp::{LbpCode, LbpExtractor};
 
+use kernel::{planes_for, Group, Kernel, MAX_ELECTRODES};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -27,19 +40,49 @@ const IM1_SEED_OFFSET: u64 = 0x1B9_C0DE;
 const IM2_SEED_OFFSET: u64 = 0x0E1E_C0DE;
 const TIE_SEED_OFFSET: u64 = 0x71E_B17;
 
+/// What the item memories and the tie-break vector are generated from.
+#[derive(Debug, Clone, Copy)]
+struct Seeds {
+    symbols: usize,
+    electrodes: usize,
+    dim: usize,
+    seed: u64,
+}
+
+impl Seeds {
+    fn code_memory(self) -> ItemMemory {
+        ItemMemory::new(
+            self.symbols,
+            self.dim,
+            self.seed.wrapping_add(IM1_SEED_OFFSET),
+        )
+    }
+
+    fn electrode_memory(self) -> ItemMemory {
+        ItemMemory::new(
+            self.electrodes,
+            self.dim,
+            self.seed.wrapping_add(IM2_SEED_OFFSET),
+        )
+    }
+
+    fn tie_vector(self) -> Hypervector {
+        let mut rng = StdRng::seed_from_u64(self.seed.wrapping_add(TIE_SEED_OFFSET));
+        Hypervector::random(self.dim, &mut rng)
+    }
+}
+
 /// Stateless spatial encoder: maps one LBP code per electrode to the
 /// spatial record `S`.
 ///
-/// Owns the two item memories (IM1: codes, IM2: electrodes). Reused by the
-/// streaming [`Encoder`] and exposed separately for the GPU-simulator
-/// cross-checks and for batch experiments.
+/// Owns the two item memories (IM1: codes, IM2: electrodes), stored once
+/// in the encode kernel's layout. Reused by the streaming [`Encoder`] and
+/// exposed separately for the GPU-simulator cross-checks and for
+/// per-layer measurements.
 #[derive(Debug, Clone)]
 pub struct SpatialEncoder {
-    im_codes: ItemMemory,
-    im_electrodes: ItemMemory,
-    tie: Hypervector,
-    tie_policy: TiePolicy,
-    acc: BitSliceAccumulator,
+    kernel: Kernel,
+    seeds: Seeds,
 }
 
 impl SpatialEncoder {
@@ -47,53 +90,57 @@ impl SpatialEncoder {
     ///
     /// # Errors
     ///
-    /// Returns [`LaelapsError::InvalidConfig`] if `electrodes` is zero.
+    /// Returns [`LaelapsError::InvalidConfig`] if `electrodes` is zero or
+    /// above 65535.
     pub fn new(config: &LaelapsConfig, electrodes: usize) -> Result<Self> {
-        if electrodes == 0 {
+        if electrodes == 0 || electrodes > MAX_ELECTRODES {
             return Err(LaelapsError::InvalidConfig {
                 field: "electrodes",
-                reason: "electrode count must be nonzero".into(),
+                reason: format!(
+                    "electrode count must be in 1..={MAX_ELECTRODES}, got {electrodes}"
+                ),
             });
         }
-        let im_codes = ItemMemory::new(
-            config.symbol_count(),
-            config.dim,
-            config.seed.wrapping_add(IM1_SEED_OFFSET),
-        );
-        let im_electrodes = ItemMemory::new(
+        let seeds = Seeds {
+            symbols: config.symbol_count(),
             electrodes,
-            config.dim,
-            config.seed.wrapping_add(IM2_SEED_OFFSET),
+            dim: config.dim,
+            seed: config.seed,
+        };
+        let kernel = Kernel::new(
+            &seeds.code_memory(),
+            &seeds.electrode_memory(),
+            &seeds.tie_vector(),
+            config.tie_policy,
         );
-        let mut tie_rng = StdRng::seed_from_u64(config.seed.wrapping_add(TIE_SEED_OFFSET));
-        let tie = Hypervector::random(config.dim, &mut tie_rng);
-        Ok(SpatialEncoder {
-            im_codes,
-            im_electrodes,
-            tie,
-            tie_policy: config.tie_policy,
-            acc: BitSliceAccumulator::new(config.dim),
-        })
+        Ok(SpatialEncoder { kernel, seeds })
     }
 
     /// Number of electrodes this encoder binds.
     pub fn electrodes(&self) -> usize {
-        self.im_electrodes.len()
+        self.seeds.electrodes
     }
 
     /// Hypervector dimension.
     pub fn dim(&self) -> usize {
-        self.im_codes.dim()
+        self.seeds.dim
     }
 
-    /// The LBP-code item memory (IM1).
-    pub fn code_memory(&self) -> &ItemMemory {
-        &self.im_codes
+    /// The LBP-code item memory (IM1), regenerated from the model seed.
+    pub fn code_memory(&self) -> ItemMemory {
+        self.seeds.code_memory()
     }
 
-    /// The electrode item memory (IM2).
-    pub fn electrode_memory(&self) -> &ItemMemory {
-        &self.im_electrodes
+    /// The electrode item memory (IM2), regenerated from the model seed.
+    pub fn electrode_memory(&self) -> ItemMemory {
+        self.seeds.electrode_memory()
+    }
+
+    /// The vector whose bits break exact spatial ties under
+    /// [`crate::hv::TiePolicy::TieBreakVector`], regenerated from the
+    /// model seed.
+    pub fn tie_vector(&self) -> Hypervector {
+        self.seeds.tie_vector()
     }
 
     /// Encodes one spatial record from the per-electrode LBP codes.
@@ -105,15 +152,12 @@ impl SpatialEncoder {
     pub fn encode(&mut self, codes: &[LbpCode]) -> Hypervector {
         assert_eq!(
             codes.len(),
-            self.im_electrodes.len(),
+            self.electrodes(),
             "one LBP code per electrode required"
         );
-        self.acc.clear();
-        for (j, &code) in codes.iter().enumerate() {
-            self.acc
-                .add_xor(self.im_electrodes.get(j), self.im_codes.get(code as usize));
-        }
-        self.acc.majority_with(self.tie_policy, &self.tie)
+        let mut s = Hypervector::zero(self.dim());
+        self.kernel.spatial(codes, s.limbs_mut());
+        s
     }
 }
 
@@ -152,12 +196,16 @@ pub struct WindowVector {
 pub struct Encoder {
     spatial: SpatialEncoder,
     extractors: Vec<LbpExtractor>,
-    codes: Vec<LbpCode>,
-    half: BitSliceAccumulator,
-    prev_half: Option<Vec<u32>>,
-    samples_in_half: usize,
+    /// The current half window's codes: one row per warm frame, one code
+    /// per electrode.
+    codes: Box<[LbpCode]>,
+    /// Rows of `codes` filled so far.
+    filled: usize,
+    /// The previous half window's bit-sliced counts, per group.
+    prev: Box<[Group]>,
+    /// Whether `prev` holds a half window yet.
+    primed: bool,
     hop: usize,
-    window: usize,
     samples_seen: u64,
     windows_emitted: u64,
 }
@@ -168,21 +216,31 @@ impl Encoder {
     /// # Errors
     ///
     /// Returns [`LaelapsError::InvalidConfig`] if `electrodes` is zero or
-    /// the configuration is invalid.
+    /// above 65535, the configuration is invalid, or a half window of
+    /// codes does not fit in memory.
     pub fn new(config: &LaelapsConfig, electrodes: usize) -> Result<Self> {
         config.validate()?;
         let spatial = SpatialEncoder::new(config, electrodes)?;
+        let hop = config.hop_samples;
+        let too_long = || LaelapsError::InvalidConfig {
+            field: "hop_samples",
+            reason: format!("a half window of {hop} frames × {electrodes} codes does not fit"),
+        };
+        let len = hop.checked_mul(electrodes).ok_or_else(too_long)?;
+        let mut codes = Vec::new();
+        codes.try_reserve_exact(len).map_err(|_| too_long())?;
+        codes.resize(len, 0);
+        let prev = vec![Group::ZERO; spatial.kernel.groups() * planes_for(hop)];
         Ok(Encoder {
             spatial,
             extractors: (0..electrodes)
                 .map(|_| LbpExtractor::new(config.lbp_len))
                 .collect(),
-            codes: vec![0; electrodes],
-            half: BitSliceAccumulator::new(config.dim),
-            prev_half: None,
-            samples_in_half: 0,
-            hop: config.hop_samples,
-            window: config.window_samples,
+            codes: codes.into_boxed_slice(),
+            filled: 0,
+            prev: prev.into_boxed_slice(),
+            primed: false,
+            hop,
             samples_seen: 0,
             windows_emitted: 0,
         })
@@ -218,19 +276,17 @@ impl Encoder {
     /// Returns [`LaelapsError::ElectrodeMismatch`] if `frame.len()` differs
     /// from the electrode count.
     pub fn push_frame(&mut self, frame: &[f32]) -> Result<Option<WindowVector>> {
-        if frame.len() != self.extractors.len() {
+        let n = self.extractors.len();
+        if frame.len() != n {
             return Err(LaelapsError::ElectrodeMismatch {
-                expected: self.extractors.len(),
+                expected: n,
                 got: frame.len(),
             });
         }
         self.samples_seen += 1;
+        let row = &mut self.codes[self.filled * n..][..n];
         let mut warm = true;
-        for (ex, (&x, code)) in self
-            .extractors
-            .iter_mut()
-            .zip(frame.iter().zip(self.codes.iter_mut()))
-        {
+        for ((ex, &x), code) in self.extractors.iter_mut().zip(frame).zip(row) {
             match ex.push(x) {
                 Some(c) => *code = c,
                 None => warm = false,
@@ -240,38 +296,30 @@ impl Encoder {
             // All extractors warm up simultaneously; nothing to encode yet.
             return Ok(None);
         }
-        let s = self.spatial.encode(&self.codes);
-        self.half.add(&s);
-        self.samples_in_half += 1;
-        if self.samples_in_half < self.hop {
+        self.filled += 1;
+        if self.filled < self.hop {
             return Ok(None);
         }
-        // Half-window boundary: combine with the previous half to form H.
-        let counts = self.half.to_counts();
-        self.half.clear();
-        self.samples_in_half = 0;
-        let out = match self.prev_half.take() {
-            Some(prev) => {
-                let mut h = Hypervector::zero(self.spatial.dim());
-                let threshold = (self.window / 2) as u32;
-                for (i, (&a, &b)) in prev.iter().zip(counts.iter()).enumerate() {
-                    // Majority over the full window, ties to 0: count > N/2.
-                    if a + b > threshold {
-                        h.set(i, true);
-                    }
-                }
-                let wv = WindowVector {
-                    vector: h,
-                    end_sample: self.samples_seen - 1,
-                    index: self.windows_emitted,
-                };
-                self.windows_emitted += 1;
-                Some(wv)
+        // Half-window boundary: bundle the buffered frames, and combine
+        // them with the previous half window into H once there is one.
+        self.filled = 0;
+        let mut h = self.primed.then(|| Hypervector::zero(self.dim()));
+        self.spatial.kernel.half_window(
+            &self.codes,
+            self.hop,
+            &mut self.prev,
+            h.as_mut().map(Hypervector::limbs_mut),
+        );
+        self.primed = true;
+        Ok(h.map(|vector| {
+            let index = self.windows_emitted;
+            self.windows_emitted += 1;
+            WindowVector {
+                vector,
+                end_sample: self.samples_seen - 1,
+                index,
             }
-            None => None,
-        };
-        self.prev_half = Some(counts);
-        Ok(out)
+        }))
     }
 
     /// Encodes a whole multichannel signal and returns every `H` vector.
@@ -316,9 +364,8 @@ impl Encoder {
         for ex in &mut self.extractors {
             ex.reset();
         }
-        self.half.clear();
-        self.prev_half = None;
-        self.samples_in_half = 0;
+        self.filled = 0;
+        self.primed = false;
         self.samples_seen = 0;
         self.windows_emitted = 0;
     }
@@ -327,6 +374,7 @@ impl Encoder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hv::{DenseAccumulator, TiePolicy};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -419,6 +467,20 @@ mod tests {
     }
 
     #[test]
+    fn rejects_electrode_counts_the_counter_cannot_hold() {
+        let config = test_config(128);
+        for electrodes in [0, MAX_ELECTRODES + 1] {
+            assert!(matches!(
+                Encoder::new(&config, electrodes),
+                Err(LaelapsError::InvalidConfig {
+                    field: "electrodes",
+                    ..
+                })
+            ));
+        }
+    }
+
+    #[test]
     fn similar_inputs_give_similar_h() {
         // Two windows of the same stationary process should be much closer
         // than windows from different processes.
@@ -475,5 +537,29 @@ mod tests {
         let s = sp.encode(&[42]);
         let expected = sp.electrode_memory().get(0).xor(sp.code_memory().get(42));
         assert_eq!(s, expected);
+    }
+
+    #[test]
+    fn wide_montage_spatial_record_matches_dense_majority() {
+        // Far above the paper's 128 electrodes: a counter width no other
+        // test reaches.
+        let electrodes = 300;
+        for policy in [TiePolicy::ZeroOnTie, TiePolicy::TieBreakVector] {
+            let config = LaelapsConfig::builder()
+                .dim(200)
+                .seed(9)
+                .tie_policy(policy)
+                .build()
+                .unwrap();
+            let mut sp = SpatialEncoder::new(&config, electrodes).unwrap();
+            let (im1, im2, tie) = (sp.code_memory(), sp.electrode_memory(), sp.tie_vector());
+            let mut rng = StdRng::seed_from_u64(10);
+            let codes: Vec<u8> = (0..electrodes).map(|_| rng.gen_range(0..64)).collect();
+            let mut dense = DenseAccumulator::new(200);
+            for (e, &c) in codes.iter().enumerate() {
+                dense.add_xor(im2.get(e), im1.get(usize::from(c)));
+            }
+            assert_eq!(sp.encode(&codes), dense.majority_with(policy, &tie));
+        }
     }
 }

@@ -1,0 +1,386 @@
+//! The encode kernel: spatial and temporal bundling as bit-sliced
+//! circuits over groups of four 64-bit limbs.
+//!
+//! A [`Group`] holds 256 consecutive components as four limbs; every
+//! circuit below computes all 256 at once, and a group's counters fit in
+//! registers. The item memories are stored once, group-major and
+//! zero-padded to whole groups, so the slice of IM1 and IM2 that one group
+//! reads (`2^ℓ + n` entries of 32 bytes) stays in L1 for a whole pass.
+//!
+//! For one frame and one group, the spatial record is
+//!
+//! 1. **gathered**: electrode `e`'s bound word `IM2[e] ^ IM1[code(e)]`;
+//! 2. **counted**: pairs of bound words enter a carry-save adder (CSA)
+//!    whose carry ripples into a bit-sliced counter, plane `k` holding
+//!    bit `k` of every component's count;
+//! 3. **thresholded**: a constant compare of the counter against the
+//!    strict majority `n/2 + 1`, plus the tie-break vector's bit where
+//!    exactly `n/2` electrodes agree under [`TiePolicy::TieBreakVector`].
+//!
+//! [`Kernel::half_window`] runs this for every buffered frame of a half
+//! window, group by group, and counts the records in a 4-plane counter
+//! flushed every 15 frames into the half window's count. Both counters
+//! are local variables. The window vector is then `H = prev + cur > hop`,
+//! a bit-sliced add and compare.
+
+use std::ops::{BitAnd, BitOr, BitXor};
+
+use crate::hv::{Hypervector, ItemMemory, TiePolicy, LIMB_BITS};
+use crate::lbp::LbpCode;
+
+/// Limbs per [`Group`].
+const GROUP_LIMBS: usize = 4;
+
+/// Planes of the spatial counter for up to 15 electrodes: the
+/// small-montage path, whose whole counter stays in registers.
+const SMALL_PLANES: usize = 4;
+
+/// Planes of the spatial counter for more electrodes.
+const WIDE_PLANES: usize = 16;
+
+/// The most electrodes the spatial counter can count.
+pub(super) const MAX_ELECTRODES: usize = (1 << WIDE_PLANES) - 1;
+
+/// Planes of the temporal pre-counter, which holds up to 15 frames.
+const PENDING_PLANES: usize = 4;
+const FLUSH_EVERY: usize = (1 << PENDING_PLANES) - 1;
+
+/// Planes a half-window count may need: any hop fits a `usize`.
+const COUNT_PLANES: usize = usize::BITS as usize;
+
+/// 256 components, one bit each, as four limbs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(super) struct Group([u64; GROUP_LIMBS]);
+
+impl Group {
+    pub(super) const ZERO: Group = Group([0; GROUP_LIMBS]);
+    const ONES: Group = Group([u64::MAX; GROUP_LIMBS]);
+
+    /// Up to four limbs; missing ones are zero padding.
+    fn load(limbs: &[u64]) -> Group {
+        let mut group = Group::ZERO;
+        group.0[..limbs.len()].copy_from_slice(limbs);
+        group
+    }
+
+    /// Writes the first `out.len()` (at most four) limbs.
+    fn store(self, out: &mut [u64]) {
+        out.copy_from_slice(&self.0[..out.len()]);
+    }
+}
+
+macro_rules! limbwise {
+    ($trait:ident, $method:ident, $op:tt) => {
+        impl $trait for Group {
+            type Output = Group;
+
+            #[inline(always)]
+            fn $method(self, rhs: Group) -> Group {
+                let [a, b, c, d] = self.0;
+                let [e, f, g, h] = rhs.0;
+                Group([a $op e, b $op f, c $op g, d $op h])
+            }
+        }
+    };
+}
+
+limbwise!(BitAnd, bitand, &);
+limbwise!(BitOr, bitor, |);
+limbwise!(BitXor, bitxor, ^);
+
+/// Carry-save adder: `sum + 2·carry = a + b + c` per component.
+#[inline(always)]
+fn csa(a: Group, b: Group, c: Group) -> (Group, Group) {
+    let u = a ^ b;
+    (u ^ c, (a & b) | (u & c))
+}
+
+/// Adds the one-bit `w` into the bit-sliced counter `count`. A carry out
+/// of the top plane is dropped, so the total must fit.
+#[inline(always)]
+fn ripple(count: &mut [Group], mut w: Group) {
+    for plane in count {
+        let carry = *plane & w;
+        *plane = *plane ^ w;
+        w = carry;
+    }
+}
+
+/// Bit `k` of `t`.
+#[inline(always)]
+fn bit(t: usize, k: usize) -> bool {
+    k < usize::BITS as usize && (t >> k) & 1 == 1
+}
+
+/// One step of a compare against a constant, least significant bit
+/// first: `ge` says whether the bits below compare `≥`, `p` is the
+/// counter's next bit and `t_bit` the constant's.
+#[inline(always)]
+fn ge_step(ge: Group, p: Group, t_bit: bool) -> Group {
+    if t_bit {
+        p & ge
+    } else {
+        p | ge
+    }
+}
+
+/// Per component, whether the bit-sliced `count` is at least `t`
+/// (`t < 2^count.len()`).
+#[inline(always)]
+fn at_least(count: &[Group], t: usize) -> Group {
+    count
+        .iter()
+        .enumerate()
+        .fold(Group::ONES, |ge, (k, &p)| ge_step(ge, p, bit(t, k)))
+}
+
+/// Adds the pre-counter `pending` into the bit-sliced `count`; the sum
+/// must fit.
+fn add_pending(count: &mut [Group], pending: &[Group; PENDING_PLANES]) {
+    let mut carry = Group::ZERO;
+    for (k, plane) in count.iter_mut().enumerate() {
+        let addend = pending.get(k).copied().unwrap_or(Group::ZERO);
+        (*plane, carry) = csa(*plane, addend, carry);
+    }
+}
+
+/// Per component, whether `a + b > bound`, for bit-sliced counts of equal
+/// width whose sum fits one more plane.
+fn sum_exceeds(a: &[Group], b: &[Group], bound: usize) -> Group {
+    let target = bound + 1;
+    let mut carry = Group::ZERO;
+    let mut ge = Group::ONES;
+    for (k, (&x, &y)) in a.iter().zip(b).enumerate() {
+        let (sum, next) = csa(x, y, carry);
+        carry = next;
+        ge = ge_step(ge, sum, bit(target, k));
+    }
+    ge_step(ge, carry, bit(target, a.len()))
+}
+
+/// Planes of a bit-sliced count of at most `max`.
+pub(super) fn planes_for(max: usize) -> usize {
+    (usize::BITS - max.leading_zeros()) as usize
+}
+
+/// The item memories in the kernel's layout, and the spatial majority
+/// rule.
+#[derive(Debug, Clone)]
+pub(super) struct Kernel {
+    /// IM1: entry `g * symbols + c` is group `g` of code `c`'s vector.
+    codes: Box<[Group]>,
+    /// IM2: entry `g * n + e` is group `g` of electrode `e`'s vector.
+    electrodes: Box<[Group]>,
+    /// The tie-break vector, one entry per group.
+    tie: Box<[Group]>,
+    symbols: usize,
+    n: usize,
+    /// Planes of the spatial count of `n` electrodes.
+    planes: usize,
+    /// `Some(n / 2)` when exact ties can occur and take the tie vector's
+    /// bit; otherwise they go to 0.
+    tie_at: Option<usize>,
+}
+
+impl Kernel {
+    /// Lays out the item memories, which must share one dimension.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `im_electrodes` holds more than [`MAX_ELECTRODES`]
+    /// vectors.
+    pub(super) fn new(
+        im_codes: &ItemMemory,
+        im_electrodes: &ItemMemory,
+        tie: &Hypervector,
+        policy: TiePolicy,
+    ) -> Kernel {
+        let n = im_electrodes.len();
+        assert!(
+            n <= MAX_ELECTRODES,
+            "{n} electrodes overflow the spatial counter"
+        );
+        let groups = tie.dim().div_ceil(LIMB_BITS * GROUP_LIMBS);
+        let group_major = |vectors: &[&Hypervector]| -> Box<[Group]> {
+            let mut out = vec![Group::ZERO; groups * vectors.len()];
+            for (i, v) in vectors.iter().enumerate() {
+                for (g, limbs) in v.limbs().chunks(GROUP_LIMBS).enumerate() {
+                    out[g * vectors.len() + i] = Group::load(limbs);
+                }
+            }
+            out.into_boxed_slice()
+        };
+        Kernel {
+            codes: group_major(&im_codes.iter().collect::<Vec<_>>()),
+            electrodes: group_major(&im_electrodes.iter().collect::<Vec<_>>()),
+            tie: group_major(&[tie]),
+            symbols: im_codes.len(),
+            n,
+            planes: planes_for(n),
+            tie_at: (policy == TiePolicy::TieBreakVector && n.is_multiple_of(2)).then_some(n / 2),
+        }
+    }
+
+    /// Groups per vector.
+    pub(super) fn groups(&self) -> usize {
+        self.tie.len()
+    }
+
+    /// Whether the small-montage counter can count every electrode.
+    fn small(&self) -> bool {
+        self.planes <= SMALL_PLANES
+    }
+
+    /// Group `g` of one frame's spatial record: the majority of the
+    /// electrodes' bound words. `K` bounds the counter's planes at
+    /// compile time, so that the small-montage counter lives in
+    /// registers.
+    #[inline(always)]
+    fn record<const K: usize>(&self, g: usize, frame: &[LbpCode]) -> Group {
+        let codes = &self.codes[g * self.symbols..][..self.symbols];
+        let electrodes = &self.electrodes[g * self.n..][..self.n];
+        let mut planes = [Group::ZERO; K];
+        let used = if K == SMALL_PLANES { K } else { self.planes };
+        let count = &mut planes[..used];
+        let mut bound = electrodes
+            .iter()
+            .zip(frame)
+            .map(|(&e, &c)| e ^ codes[usize::from(c)]);
+        while let Some(a) = bound.next() {
+            match bound.next() {
+                Some(b) => {
+                    let (sum, carry) = csa(count[0], a, b);
+                    count[0] = sum;
+                    ripple(&mut count[1..], carry);
+                }
+                None => ripple(count, a),
+            }
+        }
+        let strict = at_least(count, self.n / 2 + 1);
+        match self.tie_at {
+            Some(half) => strict | (at_least(count, half) & self.tie[g]),
+            None => strict,
+        }
+    }
+
+    /// Writes one frame's spatial record into `out`, the record's limbs.
+    pub(super) fn spatial(&self, frame: &[LbpCode], out: &mut [u64]) {
+        for (g, limbs) in out.chunks_mut(GROUP_LIMBS).enumerate() {
+            let record = if self.small() {
+                self.record::<SMALL_PLANES>(g, frame)
+            } else {
+                self.record::<WIDE_PLANES>(g, frame)
+            };
+            record.store(limbs);
+        }
+    }
+
+    /// Bundles one half window. `frames` holds `hop` rows of one code per
+    /// electrode. `prev` holds the previous half window's bit-sliced
+    /// counts, `planes_for(hop)` planes per group, and receives this
+    /// one's. When `h` is given it receives the window vector's limbs,
+    /// `H = prev + this > hop`.
+    pub(super) fn half_window(
+        &self,
+        frames: &[LbpCode],
+        hop: usize,
+        prev: &mut [Group],
+        h: Option<&mut [u64]>,
+    ) {
+        if self.small() {
+            self.bundle::<SMALL_PLANES>(frames, hop, prev, h);
+        } else {
+            self.bundle::<WIDE_PLANES>(frames, hop, prev, h);
+        }
+    }
+
+    fn bundle<const K: usize>(
+        &self,
+        frames: &[LbpCode],
+        hop: usize,
+        prev: &mut [Group],
+        mut h: Option<&mut [u64]>,
+    ) {
+        let planes = planes_for(hop);
+        assert_eq!(frames.len(), hop * self.n, "one row of codes per frame");
+        assert_eq!(prev.len(), self.groups() * planes, "one count per group");
+        for (g, prev) in prev.chunks_exact_mut(planes).enumerate() {
+            let mut count = [Group::ZERO; COUNT_PLANES];
+            let count = &mut count[..planes];
+            let mut pending = [Group::ZERO; PENDING_PLANES];
+            let mut until_flush = FLUSH_EVERY;
+            for frame in frames.chunks_exact(self.n) {
+                ripple(&mut pending, self.record::<K>(g, frame));
+                until_flush -= 1;
+                if until_flush == 0 {
+                    add_pending(count, &pending);
+                    pending = [Group::ZERO; PENDING_PLANES];
+                    until_flush = FLUSH_EVERY;
+                }
+            }
+            add_pending(count, &pending);
+            if let Some(h) = h.as_deref_mut() {
+                let start = g * GROUP_LIMBS;
+                let end = h.len().min(start + GROUP_LIMBS);
+                sum_exceeds(prev, count, hop).store(&mut h[start..end]);
+            }
+            prev.copy_from_slice(count);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Bit-sliced planes holding `counts[i]` at component `i`.
+    fn planes_of(counts: &[usize], planes: usize) -> Vec<Group> {
+        (0..planes)
+            .map(|k| {
+                let mut g = Group::ZERO;
+                for (i, &c) in counts.iter().enumerate() {
+                    g.0[i / 64] |= (((c >> k) & 1) as u64) << (i % 64);
+                }
+                g
+            })
+            .collect()
+    }
+
+    fn component(g: Group, i: usize) -> bool {
+        (g.0[i / 64] >> (i % 64)) & 1 == 1
+    }
+
+    #[test]
+    fn compare_and_sum_circuits_match_integer_arithmetic() {
+        let a: Vec<usize> = (0..256).map(|i| (i * 37) % 256).collect();
+        let b: Vec<usize> = (0..256).map(|i| (i * 91 + 5) % 256).collect();
+        let (pa, pb) = (planes_of(&a, 8), planes_of(&b, 8));
+        for t in [1usize, 2, 100, 128, 255] {
+            let ge = at_least(&pa, t);
+            let gt = sum_exceeds(&pa, &pb, t);
+            for i in 0..a.len() {
+                assert_eq!(component(ge, i), a[i] >= t, "{} >= {t}", a[i]);
+                assert_eq!(
+                    component(gt, i),
+                    a[i] + b[i] > t,
+                    "{} + {} > {t}",
+                    a[i],
+                    b[i]
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn pending_flush_adds_counts() {
+        let counts: Vec<usize> = (0..256).map(|i| i % 200).collect();
+        let small: Vec<usize> = (0..256).map(|i| i % 16).collect();
+        let mut count = planes_of(&counts, 9);
+        let pending: [Group; PENDING_PLANES] = planes_of(&small, PENDING_PLANES)
+            .try_into()
+            .expect("four planes");
+        add_pending(&mut count, &pending);
+        let sums: Vec<usize> = counts.iter().zip(&small).map(|(a, b)| a + b).collect();
+        assert_eq!(count, planes_of(&sums, 9));
+    }
+}

@@ -1,19 +1,14 @@
-//! Bundling accumulators: componentwise counters with majority thresholding.
+//! Bundling: componentwise counts with majority thresholding.
 //!
 //! Bundling (`[A + B + C]` in the paper) sums vectors componentwise and
-//! thresholds at half to return to binary space. Two implementations are
-//! provided:
+//! thresholds at half to return to binary space. [`DenseAccumulator`]
+//! keeps one `u32` counter per component. It is the associative memory's
+//! training accumulator, whose counts persist with a model so training
+//! can resume, and the reference the streaming encoder's bit-sliced
+//! kernel is tested against.
 //!
-//! * [`DenseAccumulator`] — one `u32` counter per component; the obvious
-//!   reference implementation.
-//! * [`BitSliceAccumulator`] — counters stored as *bit-planes* so that adding
-//!   a hypervector is a ripple-carry add over whole limbs (64 components per
-//!   instruction). This is the hot path of the Laelaps encoder, where the
-//!   spatial record bundles up to 128 electrode vectors per sample and the
-//!   temporal histogram bundles 512 spatial records per window.
-//!
-//! Both implement the paper's majority rule: the output bit is 0 when half
-//! or more of the bundled arguments are 0, and 1 otherwise (ties go to 0).
+//! The majority rule is the paper's: the output bit is 0 when half or
+//! more of the bundled arguments are 0, and 1 otherwise (ties go to 0).
 
 use super::vector::Hypervector;
 
@@ -203,230 +198,11 @@ impl DenseAccumulator {
     }
 }
 
-/// Bit-sliced bundling accumulator.
-///
-/// Per-component counters are stored as bit-planes: `planes[k]` holds bit
-/// `k` of every component's counter, packed like a [`Hypervector`]. Adding a
-/// vector is a ripple-carry increment over limbs; thresholding against a
-/// constant `t` is a limb-wise carry chain that computes
-/// `count + (2^K − t) ≥ 2^K`. Both cost `O(limbs · planes)` word
-/// operations instead of `O(d)` scalar operations.
-///
-/// This is the same computation as [`DenseAccumulator`] (property-tested to
-/// agree bit-for-bit) and is used by the streaming encoder.
-#[derive(Debug, Clone)]
-pub struct BitSliceAccumulator {
-    planes: Vec<Vec<u64>>,
-    dim: usize,
-    limbs: usize,
-    added: u32,
-    /// Reusable carry buffer so the per-sample hot path never allocates.
-    scratch: Vec<u64>,
-}
-
-impl BitSliceAccumulator {
-    /// Creates an empty accumulator for dimension `dim`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dim == 0`.
-    pub fn new(dim: usize) -> Self {
-        assert!(dim > 0, "accumulator dimension must be nonzero");
-        let limbs = dim.div_ceil(64);
-        BitSliceAccumulator {
-            planes: Vec::new(),
-            dim,
-            limbs,
-            added: 0,
-            scratch: vec![0u64; limbs],
-        }
-    }
-
-    /// Dimension of the bundled vectors.
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
-    /// Number of vectors added so far.
-    pub fn len(&self) -> u32 {
-        self.added
-    }
-
-    /// Whether no vector has been added yet.
-    pub fn is_empty(&self) -> bool {
-        self.added == 0
-    }
-
-    /// Number of counter bit-planes currently allocated.
-    pub fn plane_count(&self) -> usize {
-        self.planes.len()
-    }
-
-    /// Adds one vector to the bundle.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the dimensions differ.
-    pub fn add(&mut self, v: &Hypervector) {
-        assert_eq!(v.dim(), self.dim, "accumulator dimension mismatch");
-        self.ripple_add(v.limbs());
-        self.added += 1;
-    }
-
-    /// Adds the binding `a ⊕ b` without materializing it. This is the inner
-    /// loop of the spatial encoder (`E_j ⊕ C_{i(j)}` per electrode).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the dimensions differ.
-    pub fn add_xor(&mut self, a: &Hypervector, b: &Hypervector) {
-        assert_eq!(a.dim(), self.dim, "accumulator dimension mismatch");
-        assert_eq!(b.dim(), self.dim, "accumulator dimension mismatch");
-        let mut carry = std::mem::take(&mut self.scratch);
-        for ((c, x), y) in carry.iter_mut().zip(a.limbs()).zip(b.limbs()) {
-            *c = x ^ y;
-        }
-        self.ripple_add_carry(&mut carry);
-        self.scratch = carry;
-        self.added += 1;
-    }
-
-    /// Ripple-carry adds a 1-bit addend per component, given as packed limbs.
-    fn ripple_add(&mut self, addend: &[u64]) {
-        let mut carry = std::mem::take(&mut self.scratch);
-        carry.copy_from_slice(addend);
-        self.ripple_add_carry(&mut carry);
-        self.scratch = carry;
-    }
-
-    fn ripple_add_carry(&mut self, carry: &mut [u64]) {
-        for plane in self.planes.iter_mut() {
-            let mut any = 0u64;
-            for (p, c) in plane.iter_mut().zip(carry.iter_mut()) {
-                let sum = *p ^ *c;
-                let new_carry = *p & *c;
-                *p = sum;
-                *c = new_carry;
-                any |= new_carry;
-            }
-            if any == 0 {
-                return;
-            }
-        }
-        // Carry out of the top plane: grow by one plane.
-        if carry.iter().any(|&c| c != 0) {
-            self.planes.push(carry.to_vec());
-            carry.iter_mut().for_each(|c| *c = 0);
-        }
-    }
-
-    /// Extracts per-component counts into a dense vector.
-    pub fn to_counts(&self) -> Vec<u32> {
-        let mut counts = vec![0u32; self.dim];
-        for (k, plane) in self.planes.iter().enumerate() {
-            let weight = 1u32 << k;
-            for (limb_idx, &limb) in plane.iter().enumerate() {
-                let mut bits = limb;
-                while bits != 0 {
-                    let b = bits.trailing_zeros() as usize;
-                    let comp = limb_idx * 64 + b;
-                    if comp < self.dim {
-                        counts[comp] += weight;
-                    }
-                    bits &= bits - 1;
-                }
-            }
-        }
-        counts
-    }
-
-    /// Thresholds at an arbitrary count: bit `i` is 1 iff `count[i] >= t`.
-    ///
-    /// Computed entirely on bit-planes: per component,
-    /// `count + (2^K − t)` carries out of `K` bits iff `count ≥ t`.
-    pub fn threshold(&self, t: u32) -> Hypervector {
-        if t == 0 {
-            return Hypervector::ones(self.dim);
-        }
-        if t > self.added {
-            // No component count can exceed the number of added vectors.
-            return Hypervector::zero(self.dim);
-        }
-        let k = self.planes.len();
-        // Need one extra bit so 2^K > max count and 2^K - t >= 0.
-        let kk = k.max(1) + 1;
-        let addend = (1u64 << kk) - t as u64;
-        let mut carry = vec![0u64; self.limbs];
-        let zero_plane = vec![0u64; self.limbs];
-        for bit in 0..kk {
-            let plane = self.planes.get(bit).unwrap_or(&zero_plane);
-            let abit = (addend >> bit) & 1;
-            let apat = if abit == 1 { u64::MAX } else { 0u64 };
-            for (c, &p) in carry.iter_mut().zip(plane.iter()) {
-                let sum_carry = (p & apat) | (p & *c) | (apat & *c);
-                *c = sum_carry;
-            }
-        }
-        let mut out = Hypervector::zero(self.dim);
-        out.limbs_mut().copy_from_slice(&carry);
-        out.mask_tail();
-        out
-    }
-
-    /// Thresholds with the paper's majority rule (ties to 0):
-    /// bit `i` is 1 iff `count[i] > added/2`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the accumulator is empty.
-    pub fn majority(&self) -> Hypervector {
-        assert!(self.added > 0, "majority of an empty bundle is undefined");
-        self.threshold(self.added / 2 + 1)
-    }
-
-    /// Majority with an explicit tie policy (see [`TiePolicy`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the accumulator is empty, or if the policy is
-    /// [`TiePolicy::TieBreakVector`] and `tie` has a different dimension.
-    pub fn majority_with(&self, policy: TiePolicy, tie: &Hypervector) -> Hypervector {
-        assert!(self.added > 0, "majority of an empty bundle is undefined");
-        match policy {
-            TiePolicy::ZeroOnTie => self.majority(),
-            TiePolicy::TieBreakVector => {
-                assert_eq!(tie.dim(), self.dim, "tie-break dimension mismatch");
-                if self.added % 2 == 1 {
-                    return self.majority();
-                }
-                let half = self.added / 2;
-                // Tie positions are exactly those >= half but not > half.
-                let strict = self.threshold(half + 1);
-                let at_least_half = self.threshold(half);
-                let mut out = strict.clone();
-                for i in 0..out.limbs().len() {
-                    let tie_mask = at_least_half.limbs()[i] & !strict.limbs()[i];
-                    out.limbs_mut()[i] |= tie_mask & tie.limbs()[i];
-                }
-                out
-            }
-        }
-    }
-
-    /// Resets to the empty bundle, keeping allocated planes for reuse.
-    pub fn clear(&mut self) {
-        for plane in self.planes.iter_mut() {
-            plane.fill(0);
-        }
-        self.added = 0;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
+    use rand::SeedableRng;
 
     fn random_vectors(n: usize, dim: usize, seed: u64) -> Vec<Hypervector> {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -473,69 +249,11 @@ mod tests {
     }
 
     #[test]
-    fn bitslice_matches_dense_on_random_input() {
-        let dim = 300;
-        let vs = random_vectors(37, dim, 11);
-        let mut dense = DenseAccumulator::new(dim);
-        let mut slice = BitSliceAccumulator::new(dim);
-        for v in &vs {
-            dense.add(v);
-            slice.add(v);
-        }
-        assert_eq!(slice.to_counts(), dense.counts().to_vec());
-        assert_eq!(slice.majority(), dense.majority());
-        for t in [0u32, 1, 5, 18, 19, 20, 37, 38] {
-            assert_eq!(slice.threshold(t), dense.threshold(t), "t = {t}");
-        }
-    }
-
-    #[test]
-    fn bitslice_add_xor_matches_materialized() {
-        let dim = 200;
-        let vs = random_vectors(16, dim, 13);
-        let mut a1 = BitSliceAccumulator::new(dim);
-        let mut a2 = BitSliceAccumulator::new(dim);
-        for pair in vs.chunks(2) {
-            a1.add_xor(&pair[0], &pair[1]);
-            a2.add(&pair[0].xor(&pair[1]));
-        }
-        assert_eq!(a1.to_counts(), a2.to_counts());
-    }
-
-    #[test]
-    fn bitslice_majority_even_tie_to_zero() {
-        let a = Hypervector::from_bits([true, true]);
-        let b = Hypervector::from_bits([false, true]);
-        let mut acc = BitSliceAccumulator::new(2);
-        acc.add(&a);
-        acc.add(&b);
-        assert_eq!(acc.majority(), Hypervector::from_bits([false, true]));
-    }
-
-    #[test]
-    fn bitslice_tie_break_vector_matches_dense() {
-        let dim = 150;
-        let vs = random_vectors(10, dim, 17);
-        let mut rng = StdRng::seed_from_u64(18);
-        let tie = Hypervector::random(dim, &mut rng);
-        let mut dense = DenseAccumulator::new(dim);
-        let mut slice = BitSliceAccumulator::new(dim);
-        for v in &vs {
-            dense.add(v);
-            slice.add(v);
-        }
-        assert_eq!(
-            slice.majority_with(TiePolicy::TieBreakVector, &tie),
-            dense.majority_with(TiePolicy::TieBreakVector, &tie)
-        );
-    }
-
-    #[test]
     fn bundling_preserves_similarity_to_inputs() {
         // The defining property of bundling: [A+B+C] is similar to A, B, C.
         let dim = 10_000;
         let vs = random_vectors(3, dim, 19);
-        let mut acc = BitSliceAccumulator::new(dim);
+        let mut acc = DenseAccumulator::new(dim);
         for v in &vs {
             acc.add(v);
         }
@@ -551,13 +269,13 @@ mod tests {
     fn clear_resets_state() {
         let dim = 64;
         let vs = random_vectors(5, dim, 23);
-        let mut acc = BitSliceAccumulator::new(dim);
+        let mut acc = DenseAccumulator::new(dim);
         for v in &vs {
             acc.add(v);
         }
         acc.clear();
         assert!(acc.is_empty());
-        assert_eq!(acc.to_counts(), vec![0u32; dim]);
+        assert_eq!(acc.counts(), vec![0u32; dim]);
         acc.add(&vs[0]);
         assert_eq!(acc.majority(), vs[0]);
     }
@@ -565,7 +283,7 @@ mod tests {
     #[test]
     fn threshold_edges() {
         let dim = 65;
-        let mut acc = BitSliceAccumulator::new(dim);
+        let mut acc = DenseAccumulator::new(dim);
         let v = Hypervector::ones(dim);
         for _ in 0..4 {
             acc.add(&v);
@@ -600,25 +318,5 @@ mod tests {
     fn majority_of_empty_panics() {
         let acc = DenseAccumulator::new(8);
         let _ = acc.majority();
-    }
-
-    #[test]
-    fn large_bundle_count() {
-        // 512 additions as in the temporal histogram window.
-        let dim = 128;
-        let mut rng = StdRng::seed_from_u64(31);
-        let mut dense = DenseAccumulator::new(dim);
-        let mut slice = BitSliceAccumulator::new(dim);
-        for _ in 0..512 {
-            let v = Hypervector::random(dim, &mut rng);
-            dense.add(&v);
-            slice.add(&v);
-        }
-        assert_eq!(slice.to_counts(), dense.counts().to_vec());
-        assert_eq!(slice.threshold(257), dense.threshold(257));
-        // Sanity: counts hover around 256.
-        let mean = dense.counts().iter().map(|&c| c as f64).sum::<f64>() / dim as f64;
-        assert!((mean - 256.0).abs() < 30.0);
-        let _ = rng.gen::<u8>();
     }
 }

@@ -102,16 +102,17 @@ impl Postprocessor {
         }
         self.window.push_back((c.label, c.delta()));
 
-        let ictal: Vec<f64> = self
-            .window
-            .iter()
-            .filter(|(l, _)| l.is_ictal())
-            .map(|&(_, d)| d)
-            .collect();
-        let condition = ictal.len() >= self.tc && {
-            let mean = ictal.iter().sum::<f64>() / ictal.len() as f64;
-            mean > self.tr
+        // The ictal Δs are walked in place, not collected: a label
+        // allocates nothing.
+        let ictal = || {
+            self.window
+                .iter()
+                .filter(|(l, _)| l.is_ictal())
+                .map(|&(_, d)| d)
         };
+        let count = ictal().count();
+        let mean = || ictal().sum::<f64>() / count as f64;
+        let condition = count >= self.tc && mean() > self.tr;
 
         // Re-arm once the condition has lapsed so one sustained seizure
         // yields exactly one alarm.
@@ -127,10 +128,9 @@ impl Postprocessor {
         if condition && self.armed {
             self.armed = false;
             self.refractory_until = Some(idx + self.refractory_labels as u64);
-            let mean = ictal.iter().sum::<f64>() / ictal.len() as f64;
             return Some(Alarm {
                 label_index: idx,
-                mean_delta: mean,
+                mean_delta: mean(),
             });
         }
         None

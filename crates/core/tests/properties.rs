@@ -1,11 +1,13 @@
 //! Property-based tests for the HD-computing and LBP invariants.
 
 use laelaps_core::hv::{
-    limbs_for, pack_words, unpack_words, words_for, BitSliceAccumulator, DenseAccumulator,
-    Hypervector, ItemMemory, TiePolicy, LIMB_BITS,
+    limbs_for, pack_words, unpack_words, words_for, DenseAccumulator, Hypervector, ItemMemory,
+    TiePolicy, LIMB_BITS,
 };
-use laelaps_core::lbp::{lbp_codes, lbp_histogram, LbpExtractor};
+use laelaps_core::lbp::{lbp_codes, lbp_histogram, LbpCode, LbpExtractor};
+use laelaps_core::{Encoder, LaelapsConfig, SpatialEncoder};
 use proptest::prelude::*;
+use rand::{Rng, SeedableRng};
 
 fn arb_hypervector(dim: usize) -> impl Strategy<Value = Hypervector> {
     proptest::collection::vec(any::<bool>(), dim).prop_map(Hypervector::from_bits)
@@ -60,26 +62,6 @@ proptest! {
     ) {
         // Binding by a common vector preserves distances (isometry).
         prop_assert_eq!(a.xor(&m).hamming(&b.xor(&m)), a.hamming(&b));
-    }
-
-    #[test]
-    fn bitslice_equals_dense(
-        (dim, vectors) in arb_dim().prop_flat_map(|d| {
-            (Just(d), proptest::collection::vec(arb_hypervector(d), 1..40))
-        }),
-        thresholds in proptest::collection::vec(0u32..45, 4)
-    ) {
-        let mut dense = DenseAccumulator::new(dim);
-        let mut slice = BitSliceAccumulator::new(dim);
-        for v in &vectors {
-            dense.add(v);
-            slice.add(v);
-        }
-        prop_assert_eq!(slice.to_counts(), dense.counts().to_vec());
-        prop_assert_eq!(slice.majority(), dense.majority());
-        for t in thresholds {
-            prop_assert_eq!(slice.threshold(t), dense.threshold(t));
-        }
     }
 
     #[test]
@@ -269,5 +251,164 @@ proptest! {
             prop_assert_eq!(a.get(i), b.get(i));
         }
         prop_assert_eq!(a.storage_bits(), len * dim);
+    }
+}
+
+/// Ragged dimensions the encoder accepts (it requires d ≥ 64).
+fn arb_encoder_dim() -> impl Strategy<Value = usize> {
+    prop_oneof![64usize..=320, Just(1000usize), 321usize..=700]
+}
+
+/// Electrode counts on both sides of the kernel's 15-electrode counter.
+fn arb_electrodes() -> impl Strategy<Value = usize> {
+    prop_oneof![1usize..=15, 16usize..=128]
+}
+
+fn tie_policy(tie_break: bool) -> TiePolicy {
+    if tie_break {
+        TiePolicy::TieBreakVector
+    } else {
+        TiePolicy::ZeroOnTie
+    }
+}
+
+/// The spatial record as the dense oracle computes it.
+fn dense_record(spatial: &SpatialEncoder, policy: TiePolicy, codes: &[LbpCode]) -> Hypervector {
+    let (im1, im2) = (spatial.code_memory(), spatial.electrode_memory());
+    let mut acc = DenseAccumulator::new(spatial.dim());
+    for (e, &c) in codes.iter().enumerate() {
+        acc.add_xor(im2.get(e), im1.get(usize::from(c)));
+    }
+    acc.majority_with(policy, &spatial.tie_vector())
+}
+
+/// The streaming encoder rebuilt on the dense oracle: each frame's
+/// spatial record is a `DenseAccumulator` majority of the bound vectors,
+/// each half window a dense count of the records, and `H` the majority
+/// of the last two half windows' `2 · hop` records, ties to 0.
+struct ReferenceEncoder {
+    im1: ItemMemory,
+    im2: ItemMemory,
+    tie: Hypervector,
+    policy: TiePolicy,
+    extractors: Vec<LbpExtractor>,
+    half: DenseAccumulator,
+    prev: Option<DenseAccumulator>,
+    hop: u32,
+    seen: u64,
+    emitted: u64,
+}
+
+impl ReferenceEncoder {
+    fn new(config: &LaelapsConfig, electrodes: usize) -> Self {
+        let spatial = SpatialEncoder::new(config, electrodes).expect("valid electrode count");
+        ReferenceEncoder {
+            im1: spatial.code_memory(),
+            im2: spatial.electrode_memory(),
+            tie: spatial.tie_vector(),
+            policy: config.tie_policy,
+            extractors: (0..electrodes)
+                .map(|_| LbpExtractor::new(config.lbp_len))
+                .collect(),
+            half: DenseAccumulator::new(config.dim),
+            prev: None,
+            hop: config.hop_samples as u32,
+            seen: 0,
+            emitted: 0,
+        }
+    }
+
+    /// `(H, end_sample, index)` of the window this frame completes.
+    fn push(&mut self, frame: &[f32]) -> Option<(Hypervector, u64, u64)> {
+        self.seen += 1;
+        let codes: Vec<Option<LbpCode>> = self
+            .extractors
+            .iter_mut()
+            .zip(frame)
+            .map(|(ex, &x)| ex.push(x))
+            .collect();
+        let codes: Vec<LbpCode> = codes.into_iter().collect::<Option<_>>()?;
+        let mut spatial = DenseAccumulator::new(self.half.dim());
+        for (e, &c) in codes.iter().enumerate() {
+            spatial.add_xor(self.im2.get(e), self.im1.get(usize::from(c)));
+        }
+        self.half
+            .add(&spatial.majority_with(self.policy, &self.tie));
+        if self.half.len() < self.hop {
+            return None;
+        }
+        let cur = std::mem::replace(&mut self.half, DenseAccumulator::new(spatial.dim()));
+        self.prev.replace(cur.clone()).map(|mut window| {
+            window.merge(&cur);
+            self.emitted += 1;
+            (window.majority(), self.seen - 1, self.emitted - 1)
+        })
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn spatial_encoder_matches_dense_majority(
+        dim in arb_encoder_dim(),
+        electrodes in arb_electrodes(),
+        tie_break in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        let policy = tie_policy(tie_break);
+        let config = LaelapsConfig::builder()
+            .dim(dim)
+            .seed(seed)
+            .tie_policy(policy)
+            .build()
+            .expect("valid config");
+        let mut spatial = SpatialEncoder::new(&config, electrodes).expect("valid electrode count");
+        let mut rng = <rand::rngs::StdRng as SeedableRng>::seed_from_u64(seed);
+        for _ in 0..4 {
+            // Few distinct codes make exact ties common.
+            let codes: Vec<LbpCode> = (0..electrodes).map(|_| rng.gen_range(0..3)).collect();
+            prop_assert_eq!(spatial.encode(&codes), dense_record(&spatial, policy, &codes));
+        }
+    }
+
+    #[test]
+    fn encoder_matches_dense_reference(
+        dim in arb_encoder_dim(),
+        electrodes in arb_electrodes(),
+        // Even rates in 130..=1024 Hz: the hop must halve the window.
+        (tie_break, hop) in (any::<bool>(), 65u32..=512),
+        (seed, reset_pick) in (any::<u64>(), any::<u64>()),
+    ) {
+        let config = LaelapsConfig::builder()
+            .dim(dim)
+            .seed(seed)
+            .sample_rate(2 * hop)
+            .tie_policy(tie_policy(tie_break))
+            .build()
+            .expect("valid config");
+        let hop = config.hop_samples;
+        let mut encoder = Encoder::new(&config, electrodes).expect("valid encoder");
+        let mut reference = ReferenceEncoder::new(&config, electrodes);
+        // Three and a half half windows past warm-up, and a reset anywhere.
+        let frames = config.lbp_len + 1 + hop * 7 / 2;
+        let reset_at = (reset_pick % frames as u64) as usize;
+        let mut rng = <rand::rngs::StdRng as SeedableRng>::seed_from_u64(seed ^ 1);
+        let mut windows = 0;
+        for t in 0..frames {
+            if t == reset_at {
+                encoder.reset();
+                reference = ReferenceEncoder::new(&config, electrodes);
+            }
+            let frame: Vec<f32> = (0..electrodes).map(|_| rng.gen_range(-1.0..1.0)).collect();
+            let got = encoder
+                .push_frame(&frame)
+                .expect("frame width matches")
+                .map(|w| (w.vector, w.end_sample, w.index));
+            let want = reference.push(&frame);
+            windows += usize::from(want.is_some());
+            prop_assert_eq!(got, want, "frame {}", t);
+        }
+        prop_assert!(windows >= 1 || reset_at > hop);
     }
 }

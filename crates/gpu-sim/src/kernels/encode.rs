@@ -146,7 +146,7 @@ impl GpuEncoder {
 mod tests {
     use super::*;
     use crate::pack::{pack_item_memory, unpack_hv};
-    use laelaps_core::hv::{BitSliceAccumulator, ItemMemory};
+    use laelaps_core::hv::{DenseAccumulator, ItemMemory};
 
     fn setup(dim: usize, electrodes: usize) -> (GpuEncoder, ItemMemory, ItemMemory) {
         let im1 = ItemMemory::new(64, dim, 11);
@@ -169,7 +169,7 @@ mod tests {
         let mut counts = vec![0u32; dim];
         for codes in [codes_a, codes_b] {
             for t in 0..CHUNK {
-                let mut spatial = BitSliceAccumulator::new(dim);
+                let mut spatial = DenseAccumulator::new(dim);
                 for e in 0..n {
                     spatial.add_xor(im2.get(e), im1.get(codes[e][t] as usize));
                 }

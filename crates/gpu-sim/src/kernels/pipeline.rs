@@ -47,8 +47,8 @@ impl GpuPipeline {
         let spatial = SpatialEncoder::new(config, model.electrodes())?;
         let encoder = GpuEncoder::new(
             config.dim,
-            pack_item_memory(spatial.code_memory()),
-            pack_item_memory(spatial.electrode_memory()),
+            pack_item_memory(&spatial.code_memory()),
+            pack_item_memory(&spatial.electrode_memory()),
         );
         Ok(GpuPipeline {
             lbp_len: config.lbp_len,

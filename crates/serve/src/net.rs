@@ -38,6 +38,8 @@
 //! # Ok::<(), laelaps_serve::ServeError>(())
 //! ```
 
+mod event_log;
+
 use std::io::Read;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -57,6 +59,7 @@ use crate::wire::{
     event_message, health_message, read_message, read_message_spanned, session_stats_message,
     trace_dump_message, write_message, Message, WireStats, MAX_PAYLOAD,
 };
+use event_log::EventLog;
 
 /// How often a blocked socket read wakes to check for server shutdown.
 const READ_POLL: Duration = Duration::from_millis(100);
@@ -636,7 +639,7 @@ fn pump_events(tap: &EventTap, writer: &SharedWriter, stop: &AtomicBool, shutdow
 // ---------------------------------------------------------------------------
 
 struct ClientShared {
-    events: Mutex<Vec<DetectorEvent>>,
+    events: Mutex<EventLog>,
     throttles: AtomicU64,
     model_updates: AtomicU64,
     /// Latest generation announced by a `ModelUpdated` frame, offset by
@@ -699,7 +702,7 @@ impl IngestClient {
             }
         };
         let shared = Arc::new(ClientShared {
-            events: Mutex::new(Vec::new()),
+            events: Mutex::new(EventLog::default()),
             throttles: AtomicU64::new(0),
             model_updates: AtomicU64::new(0),
             model_generation: AtomicU64::new(0),
@@ -828,7 +831,7 @@ impl IngestClient {
             return Err(ServeError::Remote { reason });
         }
         let events = std::mem::take(&mut *self.shared.events.lock().expect("poisoned"));
-        Ok(events)
+        Ok(events.into_events())
     }
 }
 

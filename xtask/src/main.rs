@@ -7,9 +7,10 @@
 //! 1. **safety-comment** — every `unsafe` block, fn, or impl in crate
 //!    sources must be immediately preceded by (or carry on the same
 //!    line) a `// SAFETY:` comment explaining why the obligation holds.
-//! 2. **hot-path-clock** — no `Instant::now()` in the serving hot path
-//!    (`serve::{ring,session,service,stats,swapgate,health}`,
-//!    `telemetry::{hist,series}`): clock reads go through
+//! 2. **hot-path-clock** — no `Instant::now()` in the per-frame path
+//!    (`core::encoder` and its kernel,
+//!    `serve::{ring,session,service,stats,swapgate,health}`,
+//!    `telemetry::{hist,series,cell,topk}`): clock reads go through
 //!    `StageTimer`/`StageSet::now` so that disabling telemetry removes
 //!    them (`telemetry::stage` is the timer's home and `telemetry::rate`
 //!    reads the clock only at construction — both are deliberately
@@ -36,6 +37,8 @@ use std::process::ExitCode;
 /// serving path, where a stray clock read costs ~20–60 ns per frame and
 /// defeats the telemetry-off guarantee.
 const HOT_PATH_FILES: &[&str] = &[
+    "crates/core/src/encoder.rs",
+    "crates/core/src/encoder/kernel.rs",
     "crates/serve/src/ring.rs",
     "crates/serve/src/session.rs",
     "crates/serve/src/service.rs",
@@ -459,6 +462,22 @@ fn f(ptr: *const u8) -> u8 {
                 rules_hit(file, "use std::sync::atomic::{AtomicU64, Ordering};\n"),
                 vec!["facade-import"],
                 "{file} must be under the facade rule"
+            );
+        }
+    }
+
+    #[test]
+    fn seeded_clock_read_in_the_encoder_fails() {
+        // Every frame of every session runs the encoder; a clock read
+        // there would be paid per frame with telemetry off.
+        for file in [
+            "crates/core/src/encoder.rs",
+            "crates/core/src/encoder/kernel.rs",
+        ] {
+            assert_eq!(
+                rules_hit(file, "let t = Instant::now();\n"),
+                vec!["hot-path-clock"],
+                "{file} must be under the clock rule"
             );
         }
     }
