@@ -13,7 +13,7 @@
 //! cargo run --release -p laelaps-bench --bin loadgen -- \
 //!     [--sessions 256] [--models 4] [--dim 1000] [--seconds 10]
 //!     [--arrival closed|open] [--rate 4] [--mode in-process|tcp]
-//!     [--per-frame] [--overhead-check] [--repeats 3]
+//!     [--overhead-check] [--repeats 3]
 //!     [--health] [--per-session] [--prom-out health.prom]
 //!     [--trace-out trace.json] [--out BENCH_serve.json]
 //! ```
@@ -39,7 +39,7 @@
 //! closing stats + health + per-session view as a Prometheus
 //! text-format scrape ([`prom`]).
 //!
-//! `--overhead-check` additionally re-runs the closed-loop batched
+//! `--overhead-check` additionally re-runs the closed-loop in-process
 //! workload in five interleaved arms — telemetry off, telemetry on,
 //! telemetry + tracing, telemetry + health, telemetry + per-session —
 //! one run per arm per `--repeats` round, and records the median
@@ -65,9 +65,9 @@ use laelaps_ieeg::Recording;
 use laelaps_serve::net::{IngestClient, IngestServer};
 use laelaps_serve::wire::{WireHealth, WireSessionStats, WireStats};
 use laelaps_serve::{
-    BatchConfig, BlockedBackend, DetectionService, HealthConfig, HealthSnapshot, ModelRegistry,
-    PushError, ServeConfig, ServiceStats, SessionObsConfig, SessionObsSnapshot, TelemetryConfig,
-    TraceConfig, TraceSnapshot,
+    DetectionService, HealthConfig, HealthSnapshot, ModelRegistry, PushError, ServeConfig,
+    ServiceStats, SessionObsConfig, SessionObsSnapshot, TelemetryConfig, TraceConfig,
+    TraceSnapshot,
 };
 
 const FS: usize = 512;
@@ -161,7 +161,6 @@ struct LoadSpec {
     chunks_per_session: usize,
     /// `None` = closed loop; `Some(r)` = open loop at `r`× realtime.
     open_rate: Option<f64>,
-    batched: bool,
     telemetry: bool,
     /// Per-chunk causal tracing (the flight recorder) on top of the
     /// stage histograms.
@@ -192,9 +191,6 @@ impl LoadReport {
 fn serve_config(spec: &LoadSpec) -> ServeConfig {
     ServeConfig {
         workers: spec.threads,
-        batch: spec.batched.then(|| BatchConfig {
-            backend: Arc::new(BlockedBackend),
-        }),
         telemetry: TelemetryConfig {
             enabled: spec.telemetry,
         },
@@ -528,7 +524,6 @@ fn main() {
     let repeats = usize_arg(&args, "--repeats", 3).max(1);
     let arrival = arg_value(&args, "--arrival").unwrap_or_else(|| "closed".to_string());
     let mode = arg_value(&args, "--mode").unwrap_or_else(|| "in-process".to_string());
-    let batched = !arg_present(&args, "--per-frame");
     let overhead_check = arg_present(&args, "--overhead-check");
     let health = arg_present(&args, "--health");
     let per_session = arg_present(&args, "--per-session");
@@ -558,7 +553,6 @@ fn main() {
         sessions,
         chunks_per_session,
         open_rate,
-        batched,
         telemetry: true,
         trace: trace_out.is_some(),
         health,
@@ -587,11 +581,10 @@ fn main() {
         totals.alarms_out
     );
 
-    // ---- Optional observability-overhead comparison (closed-loop batched) ----
+    // ---- Optional observability-overhead comparison (closed loop, in process) ----
     let overhead = if overhead_check {
         let base = LoadSpec {
             open_rate: None,
-            batched: true,
             telemetry: true,
             trace: false,
             health: false,
@@ -713,7 +706,6 @@ fn main() {
             "open_loop_rate",
             open_rate.map(Json::Num).unwrap_or(Json::Null),
         ),
-        ("batched", Json::Bool(batched)),
         ("sessions", Json::num_u64(sessions as u64)),
         ("model_pool", Json::num_u64(pool as u64)),
         ("dim", Json::num_u64(dim as u64)),
@@ -736,7 +728,6 @@ fn main() {
         ("frames_refused", Json::num_u64(totals.frames_refused)),
         ("events_out", Json::num_u64(totals.events_out)),
         ("alarms_out", Json::num_u64(totals.alarms_out)),
-        ("windows_batched", Json::num_u64(totals.windows_batched)),
         ("max_drain_micros", Json::num_u64(totals.max_drain_micros)),
         (
             "recent_frames_per_sec",

@@ -24,7 +24,6 @@ fn fixture_stats() -> WireStats {
         frames_discarded: 64,
         events_out: 2_559,
         alarms_out: 17,
-        windows_batched: 2_559,
         max_drain_micros: 8_912,
         recent_frames_per_sec: 131_072.5,
         telemetry_enabled: true,
@@ -133,7 +132,6 @@ fn fixture_sessions() -> WireSessionStats {
                 frames_processed: 20_224,
                 events_out: 79,
                 alarms_out: 2,
-                windows_batched: 79,
                 drains: 311,
                 max_drain_micros: 8_912,
                 last_drain_tick: 9_119,
@@ -154,7 +152,6 @@ fn fixture_sessions() -> WireSessionStats {
                 frames_processed: 10_240,
                 events_out: 40,
                 alarms_out: 0,
-                windows_batched: 40,
                 drains: 160,
                 max_drain_micros: 2_048,
                 last_drain_tick: 9_040,

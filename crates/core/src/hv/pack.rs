@@ -2,20 +2,16 @@
 //! [`Hypervector`].
 //!
 //! The canonical storage is u64 limbs (component `i` at bit `i % 64` of
-//! limb `i / 64`, padding bits zero — see [`Hypervector`]). Two other
-//! layouts view the same bits:
-//!
-//! * **u32 words** — the GPU layout of the paper (§V-B packs `d`-bit
-//!   vectors into 32-bit words); word `w` holds components
-//!   `[32w, 32w + 32)`, so word `2k` is the low half of limb `k` and word
-//!   `2k + 1` its high half. [`pack_words`] / [`unpack_words`] convert.
-//! * **limb-major query blocks** — `laelaps-batch` stores many queries
-//!   with all limb-0s contiguous, then all limb-1s, and so on; it builds
-//!   on [`limbs_for`] and [`Hypervector::limbs`] directly.
+//! limb `i / 64`, padding bits zero — see [`Hypervector`]); [`limbs_for`]
+//! gives its length. The **u32 word** view is the GPU layout of the paper
+//! (§V-B packs `d`-bit vectors into 32-bit words): word `w` holds
+//! components `[32w, 32w + 32)`, so word `2k` is the low half of limb `k`
+//! and word `2k + 1` its high half. [`pack_words`] / [`unpack_words`]
+//! convert.
 //!
 //! Keeping these here means the GPU cost model (`laelaps-gpu-sim`) and
-//! the real batched engine (`laelaps-batch`) agree on layout by
-//! construction instead of by parallel re-implementation.
+//! the detector's own vectors agree on layout by construction instead of
+//! by parallel re-implementation.
 
 use super::vector::{Hypervector, LIMB_BITS};
 

@@ -4,10 +4,10 @@
 //! words (§V-B: "packed into 32 integer variables with 32-bit each,
 //! padded if necessary" for d = 1 kbit).
 //!
-//! The conversions themselves live in [`laelaps_core::hv::pack`] — the
-//! same helpers back the real batched engine (`laelaps-batch`), so the
-//! cost model here and the production hot path agree on layout by
-//! construction. This module re-exports them under the GPU-side names.
+//! The conversions themselves live in [`laelaps_core::hv::pack`], next to
+//! the detector's own limb layout, so the cost model here and the
+//! production hot path agree on layout by construction. This module
+//! re-exports them under the GPU-side names.
 
 use laelaps_core::hv::ItemMemory;
 

@@ -253,7 +253,7 @@ impl SloRule {
     pub fn default_rules() -> Vec<SloRule> {
         vec![
             SloRule::StageP99 {
-                stage: Stage::Classify,
+                stage: Stage::Drain,
                 ceiling_us: 400_000,
             },
             SloRule::DropRate { max_per_10k: 2_000 },

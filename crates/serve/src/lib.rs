@@ -24,24 +24,13 @@
 //!   subscriptions let another thread collect a session's events while
 //!   its handle keeps pushing.
 //!
-//!   **Hot path.** By default each shard worker runs the detector
-//!   per frame (encode → classify → postprocess, one window at a time).
-//!   Setting [`ServeConfig::batch`] switches the worker to the batched
-//!   hot path ([`batch`]): per pass it *encodes* every session's
-//!   backlog, packs the completed windows into a limb-major
-//!   [`laelaps_batch::QueryBlock`] plan grouped by model generation,
-//!   *classifies* the whole plan in one bit-packed sweep of the
-//!   configured [`laelaps_batch::ClassifyBackend`] (prototypes stay
-//!   register-resident per run — the paper's Fig. 2 batching, on CPU),
-//!   then *scatters* results back through each session's postprocessor
-//!   in stream order. Output is **bit-exact** with the per-frame path —
-//!   including across hot-swap generation boundaries — so the switch is
-//!   purely a throughput choice; occupancy shows up in
-//!   [`TelemetrySnapshot::batching`]. The per-frame path remains the default
-//!   because batching pays off only once backlogs exceed a few windows
-//!   per pass (the `batch_classify` bench puts the crossover around
-//!   backlog 2–4; at backlog ≥ 8 the blocked backend sustains ≥ 1.5–2×
-//!   scalar throughput).
+//!   **Hot path.** Each shard worker has one drain path: per pass it
+//!   walks its sessions and runs each one's queued chunks through
+//!   [`laelaps_core::Detector::push_frame`] (encode → classify →
+//!   postprocess, one window at a time), polling for a staged hot-swap
+//!   between chunks. Encode is nearly all of a frame's cost; the two
+//!   Hamming distances of classify are a fraction of a percent, so
+//!   batching windows across sessions to amortise them does not pay.
 //! * **Network ingest** ([`net::IngestServer`] / [`net::IngestClient`]) —
 //!   a TCP front-end speaking the [`wire`] protocol, so remote producers
 //!   (a fleet of bedside acquisition devices) can drive the service.
@@ -85,12 +74,10 @@
 //!
 //!   ```text
 //!   TCP reader          ring             shard worker
-//!   wire_decode → ring_enqueue → ring_wait ─┬─ drain ───────────┐ per-frame
-//!   (checksum +   (push retry    (queued     └─ encode →        │ or batched
-//!    decode)       loop)          in ring)      classify →      │
-//!                                               scatter ────────┤
-//!                                                            publish
-//!                                                      (events → bus/tap)
+//!   wire_decode → ring_enqueue → ring_wait → drain ────────────→ publish
+//!   (checksum +   (push retry    (queued     (encode → classify  (events →
+//!    decode)       loop)          in ring)    → postprocess,      bus/tap)
+//!                                             per session)
 //!
 //!   feedback: adapt_retrain (absorb + republish) →
 //!             adapt_propagate (feedback dequeue → applied swap)
@@ -102,14 +89,14 @@
 //!   One [`TelemetrySnapshot`] (on every [`ServiceStats`]) carries the
 //!   stage histograms and folds in the subsystem counters with a uniform
 //!   zero-when-unused shape: [`RegistryStats`] cache
-//!   hits/misses/evictions, [`AdaptStats`] feedback/retrain/swap counts,
-//!   and [`BatchingStats`] occupancy. Timing is on by default
+//!   hits/misses/evictions and [`AdaptStats`] feedback/retrain/swap
+//!   counts. Timing is on by default
 //!   ([`ServeConfig::telemetry`]); switching it off reduces the
 //!   instrumentation to its plain atomic counters — no clock reads on
 //!   the hot path, and the `loadgen` overhead gate holds the enabled
 //!   path within 2% of disabled. The cohort load harness
 //!   (`cargo run --release -p laelaps-bench --bin loadgen`) drives
-//!   hundreds of sessions through either path and writes the stage
+//!   hundreds of sessions through the service and writes the stage
 //!   percentiles plus sustained throughput to `BENCH_serve.json`.
 //!
 //!   On top of the aggregate histograms, [`ServeConfig::trace`] turns on
@@ -200,7 +187,6 @@
 #![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod adapt;
-pub mod batch;
 pub mod error;
 pub mod health;
 pub mod net;
@@ -213,7 +199,6 @@ pub mod swapgate;
 pub mod wire;
 
 pub use adapt::{AdaptStats, AdaptationEngine, FeedbackSegment};
-pub use batch::BatchConfig;
 pub use error::{Result, ServeError};
 pub use health::{
     sample_label, HealthConfig, HealthSnapshot, HealthTransition, HealthVerdict, RuleEval, SloRule,
@@ -227,9 +212,8 @@ pub use persist::{
 pub use service::{AlarmRecord, DetectionService, ServeConfig, ServiceEvent};
 pub use session::{EventTap, PushError, SessionHandle, SessionId, SessionOutput};
 pub use stats::{
-    BatchingStats, RegistryStats, ServiceStats, SessionObsConfig, SessionObsRow,
-    SessionObsSnapshot, SessionScores, SessionStats, SessionStatsEntry, ShardBatchStats,
-    ShardGauges, TelemetrySnapshot, TraceStats,
+    RegistryStats, ServiceStats, SessionObsConfig, SessionObsRow, SessionObsSnapshot,
+    SessionScores, SessionStats, SessionStatsEntry, ShardGauges, TelemetrySnapshot, TraceStats,
 };
 
 // The telemetry primitives behind [`TelemetrySnapshot`], re-exported so
@@ -240,8 +224,3 @@ pub use laelaps_telemetry::{
     HistogramSnapshot, PinReason, PinnedTrace, SeriesSample, SpanContext, SpanRecord, Stage,
     StagesSnapshot, TelemetryConfig, TraceConfig, TraceSnapshot,
 };
-
-// The pluggable classification engines behind [`BatchConfig`],
-// re-exported so a service can be configured without a separate
-// `laelaps-batch` import.
-pub use laelaps_batch::{BlockedBackend, ClassifyBackend, ScalarBackend};

@@ -147,6 +147,12 @@ const TAG_HEALTH_SNAPSHOT: u8 = 0x88;
 const TAG_SESSION_STATS_SNAPSHOT: u8 = 0x89;
 const TAG_ERROR: u8 = 0xEE;
 
+/// What writers put in the reserved `u64` slot of [`WireStats`] and
+/// [`WireSessionRow`], which once carried `windows_batched`; readers skip
+/// it. Keeping the slot leaves every frame's layout and version stamp
+/// unchanged.
+const RESERVED_WORD: u64 = 0;
+
 /// One ingest-protocol message; see the [module docs](self) for the
 /// exact byte layout of each variant.
 #[derive(Debug, Clone, PartialEq)]
@@ -333,9 +339,9 @@ pub struct WireShard {
 /// histograms, and per-shard saturation gauges — everything `laelapsctl`
 /// renders, flattened from [`crate::ServiceStats`].
 ///
-/// Layout: `u32` sessions, `u32` retired, nine `u64` totals (frames in /
-/// processed / dropped / refused / discarded, events, alarms, windows
-/// batched, max drain µs), `f64` recent frames/s (IEEE-754 bits), `u8`
+/// Layout: `u32` sessions, `u32` retired, nine `u64` words (frames in /
+/// processed / dropped / refused / discarded, events, alarms, a reserved
+/// word, max drain µs), `f64` recent frames/s (IEEE-754 bits), `u8`
 /// telemetry enabled, `u8` trace enabled, four `u64` tracer counters
 /// (minted / recorded / dropped / pinned), `u32` stage count + that many
 /// [`WireStage`] rows, `u32` shard count + that many [`WireShard`] rows.
@@ -359,8 +365,6 @@ pub struct WireStats {
     pub events_out: u64,
     /// Alarms raised.
     pub alarms_out: u64,
-    /// Windows classified via the batched path.
-    pub windows_batched: u64,
     /// Worst-case wall time of one drain batch, microseconds.
     pub max_drain_micros: u64,
     /// Frames drained per second over the trailing 5 s window.
@@ -398,7 +402,6 @@ impl WireStats {
             frames_discarded: t.frames_discarded,
             events_out: t.events_out,
             alarms_out: t.alarms_out,
-            windows_batched: t.windows_batched,
             max_drain_micros: t.max_drain_micros,
             recent_frames_per_sec: tel.recent_frames_per_sec,
             telemetry_enabled: tel.enabled,
@@ -443,7 +446,7 @@ impl WireStats {
             self.frames_discarded,
             self.events_out,
             self.alarms_out,
-            self.windows_batched,
+            RESERVED_WORD,
             self.max_drain_micros,
         ] {
             out.extend_from_slice(&v.to_le_bytes());
@@ -490,7 +493,7 @@ impl WireStats {
         let frames_discarded = cursor.u64()?;
         let events_out = cursor.u64()?;
         let alarms_out = cursor.u64()?;
-        let windows_batched = cursor.u64()?;
+        cursor.u64()?; // reserved word
         let max_drain_micros = cursor.u64()?;
         let recent_frames_per_sec = cursor.f64_bits()?;
         let telemetry_enabled = cursor.u8()? != 0;
@@ -541,7 +544,6 @@ impl WireStats {
             frames_discarded,
             events_out,
             alarms_out,
-            windows_batched,
             max_drain_micros,
             recent_frames_per_sec,
             telemetry_enabled,
@@ -809,11 +811,10 @@ impl WireHealth {
 /// [`crate::SessionObsRow`]).
 ///
 /// Layout: `u64` session id, `u32` shard, `u64` model generation, `u32`
-/// patient length + UTF-8 patient bytes, twelve `u64` counters (frames
-/// in / dropped / refused / discarded / processed, events, alarms,
-/// windows batched, drains, max drain µs, last drain tick, EWMA drain
-/// µs), three `u64` heavy-hitter scores (latency / saturation /
-/// discard).
+/// patient length + UTF-8 patient bytes, twelve `u64` words (frames in
+/// / dropped / refused / discarded / processed, events, alarms, a
+/// reserved word, drains, max drain µs, last drain tick, EWMA drain µs),
+/// three `u64` heavy-hitter scores (latency / saturation / discard).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct WireSessionRow {
     /// Session id.
@@ -838,8 +839,6 @@ pub struct WireSessionRow {
     pub events_out: u64,
     /// Alarms raised.
     pub alarms_out: u64,
-    /// Windows classified via the batched path.
-    pub windows_batched: u64,
     /// Worker drain batches executed for this session.
     pub drains: u64,
     /// Worst-case wall time of one drain batch, microseconds.
@@ -872,7 +871,6 @@ impl WireSessionRow {
             frames_processed: s.frames_processed,
             events_out: s.events_out,
             alarms_out: s.alarms_out,
-            windows_batched: s.windows_batched,
             drains: s.drains,
             max_drain_micros: s.max_drain_micros,
             last_drain_tick: s.last_drain_tick,
@@ -896,7 +894,7 @@ impl WireSessionRow {
             self.frames_processed,
             self.events_out,
             self.alarms_out,
-            self.windows_batched,
+            RESERVED_WORD,
             self.drains,
             self.max_drain_micros,
             self.last_drain_tick,
@@ -922,8 +920,10 @@ impl WireSessionRow {
             frames_processed: cursor.u64()?,
             events_out: cursor.u64()?,
             alarms_out: cursor.u64()?,
-            windows_batched: cursor.u64()?,
-            drains: cursor.u64()?,
+            drains: {
+                cursor.u64()?; // reserved word
+                cursor.u64()?
+            },
             max_drain_micros: cursor.u64()?,
             last_drain_tick: cursor.u64()?,
             ewma_drain_us: cursor.u64()?,
@@ -1587,7 +1587,6 @@ mod tests {
             frames_discarded: 89,
             events_out: 15,
             alarms_out: 1,
-            windows_batched: 15,
             max_drain_micros: 731,
             recent_frames_per_sec: 512.25,
             telemetry_enabled: true,
@@ -1686,7 +1685,6 @@ mod tests {
                     frames_processed: 3828,
                     events_out: 14,
                     alarms_out: 1,
-                    windows_batched: 14,
                     drains: 31,
                     max_drain_micros: 977,
                     last_drain_tick: 4_810,
@@ -1810,6 +1808,34 @@ mod tests {
         assert_eq!(frame[2], 4);
         let frame = encode_message(&Message::StatsRequest);
         assert_eq!(frame[2], 3);
+    }
+
+    #[test]
+    fn reserved_slots_keep_the_snapshot_layouts() {
+        // Same frame lengths as when the slot carried a batched-window
+        // count, so peers on either side of the change read each other.
+        let stats = encode_message(&Message::StatsSnapshot {
+            stats: Box::new(sample_stats()),
+        });
+        let sessions = encode_message(&Message::SessionStatsSnapshot {
+            sessions: Box::new(sample_session_stats()),
+        });
+        assert_eq!(stats.len(), 274);
+        assert_eq!(sessions.len(), 472);
+        // StatsSnapshot: the slot follows `u32` sessions, `u32` retired
+        // and seven `u64` totals. Writers zero it; readers skip it.
+        let slot = HEADER_LEN + 8 + 7 * 8;
+        assert_eq!(stats[slot..slot + 8], [0u8; 8]);
+        let mut patched = stats.clone();
+        patched[slot..slot + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+        patched.truncate(patched.len() - CHECKSUM_LEN);
+        let mut checksum = Fnv1a::new();
+        checksum.update(&patched);
+        patched.extend_from_slice(&checksum.finish().to_le_bytes());
+        assert_eq!(
+            read_message(&mut patched.as_slice()).unwrap(),
+            read_message(&mut stats.as_slice()).unwrap()
+        );
     }
 
     #[test]

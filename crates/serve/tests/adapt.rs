@@ -3,7 +3,8 @@
 //! load equals retraining from the union of segments; a mid-stream hot
 //! swap has exactly one swap point with zero dropped frames, bit-exact
 //! old-model and new-model event streams on either side, and the
-//! postprocessor state carried across; the in-process `AdaptationEngine`
+//! postprocessor state carried across — also when the swap is requested
+//! while chunks are still queued; the in-process `AdaptationEngine`
 //! closes the whole feedback → retrain → publish → swap loop.
 
 mod common;
@@ -17,20 +18,27 @@ use laelaps_serve::{
     load_model, save_model, DetectionService, ModelRegistry, PushError, ServeConfig, ServeError,
     ServiceEvent, SessionHandle, SessionOutput,
 };
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+/// Pushes one chunk, retrying while the session's queue is full.
+fn push_chunk(handle: &mut SessionHandle, chunk: &[f32]) {
+    let mut pending: Box<[f32]> = chunk.into();
+    loop {
+        match handle.try_push_chunk(pending) {
+            Ok(()) => return,
+            Err(PushError::Full(back)) => {
+                pending = back;
+                std::thread::yield_now();
+            }
+            Err(e) => panic!("unexpected push error: {e}"),
+        }
+    }
+}
 
 fn push_all(handle: &mut SessionHandle, interleaved: &[f32]) {
     for chunk in interleaved.chunks(256 * 4) {
-        let mut pending: Box<[f32]> = chunk.into();
-        loop {
-            match handle.try_push_chunk(pending) {
-                Ok(()) => break,
-                Err(PushError::Full(back)) => {
-                    pending = back;
-                    std::thread::yield_now();
-                }
-                Err(e) => panic!("unexpected push error: {e}"),
-            }
-        }
+        push_chunk(handle, chunk);
     }
 }
 
@@ -325,6 +333,144 @@ fn hot_swap_has_one_swap_point_and_bit_exact_streams_on_both_sides() {
         } if patient == "P" && *at_frame == 512 * 30
     ));
     assert!(!service.take_alarms().is_empty(), "alarm stayed on the bus");
+}
+
+/// What a bare `Detector` emits over `frames` (frame-major, 4
+/// electrodes) when it runs `first` for the first `at_frame` frames and
+/// is then switched to `next` with [`Detector::hot_swap`], with the
+/// marker the service puts at that position.
+fn bare_with_swap(
+    first: &PatientModel,
+    next: &PatientModel,
+    frames: &[f32],
+    at_frame: u64,
+) -> Vec<SessionOutput> {
+    let mut detector = Detector::new(first).unwrap();
+    let (before, after) = frames.split_at(at_frame as usize * 4);
+    let mut out = Vec::new();
+    for frame in before.chunks_exact(4) {
+        if let Some(event) = detector.push_frame(frame).unwrap() {
+            out.push(SessionOutput::Event(event));
+        }
+    }
+    detector.hot_swap(next).unwrap();
+    out.push(SessionOutput::ModelSwapped {
+        generation: next.generation(),
+        at_frame,
+    });
+    for frame in after.chunks_exact(4) {
+        if let Some(event) = detector.push_frame(frame).unwrap() {
+            out.push(SessionOutput::Event(event));
+        }
+    }
+    out
+}
+
+/// A swap requested while chunks are still queued puts its barrier in
+/// the middle of the backlog instead of at an idle boundary. Over
+/// several seeds, random chunk sizes and 1–3 workers: the swap lands on
+/// a chunk boundary no earlier than the frames accepted before the
+/// request, and the stream on both sides of it is bit-exact with a bare
+/// `Detector` switched at the marker's `at_frame`. A neighbour session
+/// of the same patient model, never swapped, streams alongside.
+#[test]
+fn in_flight_swap_matches_a_bare_detector_switched_at_the_marker() {
+    const MAX_CHUNKS_PER_DRAIN: usize = 16; // one drain pass's cap (session.rs)
+    let model_a = trained_model(111);
+    let feedback = two_state_signal(4, 512 * 20, 512 * 2..512 * 18, 112);
+    let model_b = Arc::new(
+        model_a
+            .absorb(&TrainingData::new(&feedback).ictal(512 * 2..512 * 18))
+            .unwrap(),
+    );
+    for seed in 0..6u64 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let workers = 1 + (seed % 3) as usize;
+        let signal = two_state_signal(4, 512 * 40, 512 * 12..512 * 28, 120 + seed);
+        let frames = interleave(&signal);
+        let total = signal[0].len();
+        // Random chunk sizes, cut once: (first frame, frame count).
+        let mut chunks = Vec::new();
+        let mut at = 0;
+        while at < total {
+            let len = rng.gen_range(1..=700usize).min(total - at);
+            chunks.push((at, len));
+            at += len;
+        }
+        let chunk = |(start, len): (usize, usize)| &frames[start * 4..(start + len) * 4];
+        // More queued chunks than one drain pass takes, so some are still
+        // queued when the swap is requested even if a pass that began
+        // before the wedge pops a few.
+        let split = rng.gen_range(MAX_CHUNKS_PER_DRAIN + 1..chunks.len());
+
+        let service = DetectionService::new(ServeConfig {
+            workers,
+            ring_chunks: chunks.len(),
+            ..ServeConfig::default()
+        });
+        let mut handle = service.open_session("P", &model_a).unwrap();
+        let mut neighbour = service.open_session("P", &model_a).unwrap();
+        service.debug_wedge_session(handle.id(), true);
+        for &c in &chunks[..split] {
+            push_chunk(&mut handle, chunk(c));
+            push_chunk(&mut neighbour, chunk(c));
+        }
+        assert!(handle.queued_chunks() > 0, "seed {seed}: backlog queued");
+        let accepted = handle.stats().frames_in;
+        service
+            .swap_session_model(handle.id(), &model_b)
+            .expect("swap request accepted");
+        service.debug_wedge_session(handle.id(), false);
+        for &c in &chunks[split..] {
+            push_chunk(&mut handle, chunk(c));
+            push_chunk(&mut neighbour, chunk(c));
+        }
+        handle.close();
+        neighbour.close();
+        service.flush();
+
+        let outputs = handle.take_outputs();
+        let markers: Vec<u64> = outputs
+            .iter()
+            .filter_map(|o| match o {
+                SessionOutput::ModelSwapped { at_frame, .. } => Some(*at_frame),
+                SessionOutput::Event(_) => None,
+            })
+            .collect();
+        assert_eq!(markers.len(), 1, "seed {seed}: exactly one swap marker");
+        let at_frame = markers[0];
+        assert!(
+            at_frame >= accepted,
+            "seed {seed}: swap at {at_frame} before the barrier {accepted}"
+        );
+        assert!(
+            chunks
+                .iter()
+                .any(|&(start, len)| (start + len) as u64 == at_frame),
+            "seed {seed}: swap at {at_frame} is not a chunk boundary"
+        );
+        // The wedge kept the worker short of the barrier until the swap
+        // was staged, so it lands on the barrier itself, not a chunk
+        // later.
+        assert_eq!(at_frame, accepted, "seed {seed}: swap past the barrier");
+        assert_eq!(
+            outputs,
+            bare_with_swap(&model_a, &model_b, &frames, at_frame),
+            "seed {seed} ({workers} workers): stream differs from the bare detector"
+        );
+        let stats = handle.stats();
+        assert_eq!(stats.frames_in, total as u64);
+        assert_eq!(stats.frames_in, stats.frames_processed, "seed {seed}");
+
+        let want: Vec<_> = Detector::new(&model_a)
+            .unwrap()
+            .run(&signal)
+            .unwrap()
+            .into_iter()
+            .map(SessionOutput::Event)
+            .collect();
+        assert_eq!(neighbour.take_outputs(), want, "seed {seed}: neighbour");
+    }
 }
 
 #[test]

@@ -2,7 +2,8 @@
 //! the [`SloRule::ShardStall`] watchdog, surface as `Critical` over a
 //! live TCP `HealthRequest` (what `laelapsctl health` sends), and the
 //! verdict must recover to `Ok` — through the downgrade hysteresis —
-//! once the shard drains again.
+//! once the shard drains again. The default rule set's latency ceilings
+//! must watch stages the drain actually records.
 
 mod common;
 
@@ -10,12 +11,12 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use common::trained_model;
+use common::{interleave, trained_model, two_state_signal};
 use laelaps_serve::net::IngestServer;
 use laelaps_serve::wire::{read_message, write_message, Message};
 use laelaps_serve::{
     DetectionService, HealthConfig, HealthSnapshot, HealthVerdict, ModelRegistry, PushError,
-    ServeConfig, SloRule, SAMPLE_WORDS,
+    ServeConfig, SloRule, Stage, SAMPLE_WORDS,
 };
 
 const ELECTRODES: usize = 4;
@@ -153,4 +154,57 @@ fn wedged_shard_goes_critical_over_tcp_and_recovers() {
 
     drop(server);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A `StageP99` rule on a stage nothing records reads p99 = 0 forever
+/// and can never fire. Stream a short cohort on the default service
+/// (stage timing is on by default) and check that every stage the
+/// default rules put a latency ceiling on has samples.
+#[test]
+fn default_latency_rules_watch_recorded_stages() {
+    let watched: Vec<Stage> = SloRule::default_rules()
+        .into_iter()
+        .filter_map(|rule| match rule {
+            SloRule::StageP99 { stage, .. } => Some(stage),
+            _ => None,
+        })
+        .collect();
+    assert!(
+        !watched.is_empty(),
+        "the default rules carry a latency ceiling"
+    );
+
+    let service = DetectionService::new(ServeConfig::default());
+    for i in 0..3u64 {
+        let model = trained_model(81 + i);
+        let mut handle = service
+            .open_session(&format!("D{i}"), &model)
+            .expect("session opens");
+        let signal = interleave(&two_state_signal(ELECTRODES, 512 * 8, 0..0, 91 + i));
+        for chunk in signal.chunks(CHUNK_FRAMES * ELECTRODES) {
+            let mut pending: Box<[f32]> = chunk.into();
+            loop {
+                match handle.try_push_chunk(pending) {
+                    Ok(()) => break,
+                    Err(PushError::Full(back)) => {
+                        pending = back;
+                        std::thread::yield_now();
+                    }
+                    Err(e) => panic!("push failed: {e}"),
+                }
+            }
+        }
+        handle.close();
+    }
+    service.flush();
+
+    let stats = service.stats();
+    assert!(stats.telemetry.enabled, "stage timing is on by default");
+    for stage in watched {
+        assert!(
+            stats.telemetry.stages.get(stage).count > 0,
+            "a default rule watches {} but nothing recorded it",
+            stage.name()
+        );
+    }
 }

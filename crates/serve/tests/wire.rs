@@ -270,12 +270,24 @@ fn version_stamping_supports_rolling_upgrades() {
         })[2],
         3
     );
-    // The health messages are the version-4 surface — the newest, so
-    // they carry WIRE_VERSION itself.
-    assert_eq!(encode_message(&Message::HealthRequest)[2], WIRE_VERSION);
+    // The health messages are the version-4 surface: still stamped 4,
+    // not WIRE_VERSION, so v4 peers keep reading them.
+    assert_eq!(encode_message(&Message::HealthRequest)[2], 4);
     assert_eq!(
         encode_message(&Message::HealthSnapshot {
             health: Box::default(),
+        })[2],
+        4
+    );
+    // The per-session messages are the version-5 surface — the newest,
+    // so they carry WIRE_VERSION itself.
+    assert_eq!(
+        encode_message(&Message::SessionStatsRequest { session: None })[2],
+        WIRE_VERSION
+    );
+    assert_eq!(
+        encode_message(&Message::SessionStatsSnapshot {
+            sessions: Box::default(),
         })[2],
         WIRE_VERSION
     );
@@ -415,8 +427,8 @@ fn future_versioned_introspection_frames_hit_the_version_gate_first() {
     // Same guarantee the Hello frame has: a frame stamped beyond
     // WIRE_VERSION is a version mismatch (the upgrade-me signal), fired
     // before the checksum is even verified.
-    let mut frame = encode_message(&Message::HealthRequest);
-    assert_eq!(frame[2], WIRE_VERSION, "HealthRequest is stamped v4");
+    let mut frame = encode_message(&Message::SessionStatsRequest { session: None });
+    assert_eq!(frame[2], WIRE_VERSION, "SessionStatsRequest is stamped v5");
     frame[2] = WIRE_VERSION + 1;
     // Deliberately not resealed: the version gate must fire first.
     let err = read_message(&mut frame.as_slice()).unwrap_err();

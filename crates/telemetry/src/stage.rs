@@ -7,12 +7,14 @@ use crate::hist::{Histogram, HistogramSnapshot};
 use crate::TelemetryConfig;
 
 /// A hot-path stage of the serving pipeline, end to end: wire decode →
-/// ring enqueue → ring wait → drain (encode → classify → scatter on the
-/// batched path) → outbox publish, plus the adaptation loop's retrain
-/// and feedback→hot-swap propagation.
+/// ring enqueue → ring wait → drain → outbox publish, plus the
+/// adaptation loop's retrain and feedback→hot-swap propagation.
 ///
 /// Each stage owns one latency [`Histogram`] (microseconds) in a
-/// [`StageSet`].
+/// [`StageSet`]. [`Stage::Encode`], [`Stage::Classify`] and
+/// [`Stage::Scatter`] are never recorded (the drain span covers encode,
+/// classify and postprocess); they keep their discriminants because the
+/// wire protocol carries stage numbers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(usize)]
 pub enum Stage {
@@ -25,15 +27,14 @@ pub enum Stage {
     /// Time a chunk sat in its session ring between enqueue and the
     /// worker popping it — the queueing component of service latency.
     RingWait,
-    /// One session's full drain pass (per-frame path: encode + classify
-    /// + postprocess fused; batched path: encode + scatter phases).
+    /// One session's full drain pass: encode + classify + postprocess
+    /// of every frame drained.
     Drain,
-    /// Batched-path encode phase, per session per pass.
+    /// Never recorded; reserved so the wire's stage numbers stay stable.
     Encode,
-    /// Batched-path classify sweep, per shard pass (all runs, one
-    /// backend invocation over the whole plan).
+    /// Never recorded; reserved so the wire's stage numbers stay stable.
     Classify,
-    /// Batched-path scatter phase, per session per pass.
+    /// Never recorded; reserved so the wire's stage numbers stay stable.
     Scatter,
     /// Publishing a pass's outputs: outbox append + service-bus fan-out.
     Publish,

@@ -12,7 +12,6 @@
 //! * [`baselines`] — LBP+SVM, LSTM, and STFT+CNN detectors;
 //! * [`gpu_sim`] — the Tegra X2 timing/energy model;
 //! * [`eval`] — metrics and the table/figure experiment harness;
-//! * [`batch`] — bit-packed batched Hamming classification backends;
 //! * [`telemetry`] — lock-free counters, latency histograms, stage timers;
 //! * [`serve`] — the multi-patient streaming detection service.
 //!
@@ -36,7 +35,6 @@
 //! `laelaps-bench` for the table/figure regeneration commands.
 
 pub use laelaps_baselines as baselines;
-pub use laelaps_batch as batch;
 pub use laelaps_core as core;
 pub use laelaps_eval as eval;
 pub use laelaps_gpu_sim as gpu_sim;

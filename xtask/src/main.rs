@@ -7,9 +7,9 @@
 //! 1. **safety-comment** — every `unsafe` block, fn, or impl in crate
 //!    sources must be immediately preceded by (or carry on the same
 //!    line) a `// SAFETY:` comment explaining why the obligation holds.
-//! 2. **hot-path-clock** — no `Instant::now()` in the per-frame path
-//!    (`core::encoder` and its kernel,
-//!    `serve::{ring,session,service,stats,swapgate,health}`,
+//! 2. **hot-path-clock** — no `Instant::now()` in the drain path
+//!    (`core::{detector,encoder,lbp,am,postprocess}` and the encoder
+//!    kernel, `serve::{ring,session,service,stats,swapgate,health}`,
 //!    `telemetry::{hist,series,cell,topk}`): clock reads go through
 //!    `StageTimer`/`StageSet::now` so that disabling telemetry removes
 //!    them (`telemetry::stage` is the timer's home and `telemetry::rate`
@@ -26,6 +26,9 @@
 //!    (the model checker approximates `SeqCst` as `AcqRel`, so relying
 //!    on the total order silently weakens checking).
 //!
+//! Every file the rule lists name must exist: a deleted or renamed file
+//! fails the lint instead of silently dropping out of its rule.
+//!
 //! Known text-level limitations: block comments (`/* */`) and string
 //! literals containing rule tokens can confuse the scan; the workspace
 //! avoids both around synchronization code.
@@ -33,12 +36,16 @@
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-/// Files (workspace-relative, `/`-separated) under rule 2: the per-frame
-/// serving path, where a stray clock read costs ~20–60 ns per frame and
-/// defeats the telemetry-off guarantee.
+/// Files (workspace-relative, `/`-separated) under rule 2: the drain
+/// path every frame takes, where a stray clock read costs ~20–60 ns per
+/// frame and defeats the telemetry-off guarantee.
 const HOT_PATH_FILES: &[&str] = &[
+    "crates/core/src/detector.rs",
     "crates/core/src/encoder.rs",
     "crates/core/src/encoder/kernel.rs",
+    "crates/core/src/lbp.rs",
+    "crates/core/src/am.rs",
+    "crates/core/src/postprocess.rs",
     "crates/serve/src/ring.rs",
     "crates/serve/src/session.rs",
     "crates/serve/src/service.rs",
@@ -69,6 +76,12 @@ const FACADE_FILES: &[&str] = &[
     "crates/telemetry/src/cell.rs",
     "crates/telemetry/src/topk.rs",
     "crates/eval/src/pool.rs",
+];
+
+/// The file lists above, by name, for the existence check.
+const LINT_LISTS: &[(&str, &[&str])] = &[
+    ("HOT_PATH_FILES", HOT_PATH_FILES),
+    ("FACADE_FILES", FACADE_FILES),
 ];
 
 /// One rule violation at a specific line.
@@ -120,6 +133,17 @@ fn main() -> ExitCode {
         }
     }
 
+    let missing = missing_listed_files(&root, LINT_LISTS);
+    if !missing.is_empty() {
+        for entry in &missing {
+            println!("{entry}");
+        }
+        println!(
+            "xtask lint: {} listed file(s) missing — update the list in xtask/src/main.rs",
+            missing.len()
+        );
+        return ExitCode::FAILURE;
+    }
     let files = collect_sources(&root);
     if files.is_empty() {
         eprintln!(
@@ -163,6 +187,19 @@ fn main() -> ExitCode {
 fn workspace_root() -> PathBuf {
     let manifest = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
     manifest.parent().map(Path::to_path_buf).unwrap_or(manifest)
+}
+
+/// Entries of `lists` that name no file under `root`, one message each.
+fn missing_listed_files(root: &Path, lists: &[(&str, &[&str])]) -> Vec<String> {
+    lists
+        .iter()
+        .flat_map(|(list, files)| {
+            files
+                .iter()
+                .filter(|rel| !root.join(rel).is_file())
+                .map(move |rel| format!("{list} names {rel}, which does not exist"))
+        })
+        .collect()
 }
 
 /// Every `.rs` file under `crates/**/src` (the library sources the rules
@@ -480,6 +517,43 @@ fn f(ptr: *const u8) -> u8 {
                 "{file} must be under the clock rule"
             );
         }
+    }
+
+    #[test]
+    fn seeded_clock_read_in_the_detector_fails() {
+        // The rest of the drain path: the detector around the encoder,
+        // the LBP extractors, the associative memory and the
+        // postprocessor run on every frame or window too.
+        for file in [
+            "crates/core/src/detector.rs",
+            "crates/core/src/lbp.rs",
+            "crates/core/src/am.rs",
+            "crates/core/src/postprocess.rs",
+        ] {
+            assert_eq!(
+                rules_hit(file, "let t = Instant::now();\n"),
+                vec!["hot-path-clock"],
+                "{file} must be under the clock rule"
+            );
+        }
+    }
+
+    #[test]
+    fn a_listed_file_that_is_missing_fails() {
+        let root = workspace_root();
+        let lists: &[(&str, &[&str])] = &[(
+            "HOT_PATH_FILES",
+            &["crates/core/src/detector.rs", "crates/core/src/gone.rs"],
+        )];
+        assert_eq!(
+            missing_listed_files(&root, lists),
+            vec!["HOT_PATH_FILES names crates/core/src/gone.rs, which does not exist"]
+        );
+        // The real lists name only files that exist.
+        assert_eq!(
+            missing_listed_files(&root, LINT_LISTS),
+            Vec::<String>::new()
+        );
     }
 
     #[test]
