@@ -1,6 +1,6 @@
 //! Live introspection client for a running [`laelaps_serve::IngestServer`].
 //!
-//! Opens a wire-v3/v4/v5 introspection connection (first message is a
+//! Opens a wire introspection connection (first message is a
 //! `StatsRequest`/`TraceDumpRequest`/`HealthRequest`/
 //! `SessionStatsRequest`, never a `Hello`) and renders what the server
 //! answers — no session is opened, no model is touched, and the serving
@@ -32,7 +32,7 @@
 //! chunk's wire-decode → ring → drain → publish causal chain per
 //! session. `health` renders the SLO engine's verdict, per-rule burn
 //! rates, and recent transitions. `sessions` renders the per-session
-//! observability view (wire v5): the worst sessions by heavy-hitter
+//! observability view: the worst sessions by heavy-hitter
 //! score plus an optional `--session ID` lookup. `watch` refreshes a
 //! top-like stats + health + sessions view in place every `--interval`
 //! seconds (`--count 0` = until interrupted); `top` is the same live
@@ -41,11 +41,11 @@
 use std::net::TcpStream;
 
 use laelaps_bench::json::Json;
-use laelaps_bench::{arg_present, arg_value, chrome, prom};
-use laelaps_serve::wire::{
-    read_message, write_message, Message, WireHealth, WireSessionStats, WireStats,
+use laelaps_bench::{arg_present, arg_value, chrome, prom, session_obs_json};
+use laelaps_serve::wire::{read_message, write_message, Message, WireStats};
+use laelaps_serve::{
+    sample_label, HealthSnapshot, SessionObsRow, SessionObsSnapshot, Stage, SAMPLE_WORDS,
 };
-use laelaps_serve::{sample_label, HealthVerdict, Stage, SAMPLE_WORDS};
 
 fn fail(reason: &str) -> ! {
     eprintln!("laelapsctl: {reason}");
@@ -67,7 +67,7 @@ fn exchange(addr: &str, request: &Message) -> Message {
 /// Fetches the stats, health, *and* per-session snapshots on one
 /// introspection connection (three requests back to back — the
 /// introspection exchange keeps answering until `Close`).
-fn fetch_snapshots(addr: &str) -> (Box<WireStats>, Box<WireHealth>, Box<WireSessionStats>) {
+fn fetch_snapshots(addr: &str) -> (Box<WireStats>, Box<HealthSnapshot>, Box<SessionObsSnapshot>) {
     let mut stream = TcpStream::connect(addr)
         .unwrap_or_else(|e| fail(&format!("cannot connect to {addr}: {e}")));
     let mut ask = |request: &Message| -> Message {
@@ -94,21 +94,14 @@ fn fetch_snapshots(addr: &str) -> (Box<WireStats>, Box<WireHealth>, Box<WireSess
 }
 
 /// Fetches one per-session snapshot, optionally with a lookup row.
-fn fetch_sessions(addr: &str, session: Option<u64>) -> Box<WireSessionStats> {
+fn fetch_sessions(addr: &str, session: Option<u64>) -> Box<SessionObsSnapshot> {
     match exchange(addr, &Message::SessionStatsRequest { session }) {
         Message::SessionStatsSnapshot { sessions } => sessions,
         other => fail(&format!("expected SessionStatsSnapshot, got {other:?}")),
     }
 }
 
-fn verdict_label(raw: u8) -> String {
-    match HealthVerdict::from_raw(raw) {
-        Some(v) => v.name().to_string(),
-        None => format!("verdict_{raw}"),
-    }
-}
-
-fn stats_json(stats: &WireStats, sessions: &WireSessionStats) -> Json {
+fn stats_json(stats: &WireStats, sessions: &SessionObsSnapshot) -> Json {
     Json::obj([
         ("sessions", Json::num_u64(stats.sessions as u64)),
         (
@@ -180,49 +173,8 @@ fn stats_json(stats: &WireStats, sessions: &WireSessionStats) -> Json {
                     .collect(),
             ),
         ),
-        ("session_obs", sessions_json(sessions)),
+        ("session_obs", session_obs_json(sessions)),
     ])
-}
-
-fn session_row_json(row: &laelaps_serve::wire::WireSessionRow) -> Json {
-    Json::obj([
-        ("session", Json::num_u64(row.session)),
-        ("patient", Json::Str(row.patient.clone())),
-        ("shard", Json::num_u64(row.shard as u64)),
-        ("generation", Json::num_u64(row.generation)),
-        ("frames_in", Json::num_u64(row.frames_in)),
-        ("frames_processed", Json::num_u64(row.frames_processed)),
-        ("frames_dropped", Json::num_u64(row.frames_dropped)),
-        ("frames_refused", Json::num_u64(row.frames_refused)),
-        ("frames_discarded", Json::num_u64(row.frames_discarded)),
-        ("events_out", Json::num_u64(row.events_out)),
-        ("alarms_out", Json::num_u64(row.alarms_out)),
-        ("last_drain_tick", Json::num_u64(row.last_drain_tick)),
-        ("ewma_drain_us", Json::num_u64(row.ewma_drain_us)),
-        (
-            "scores",
-            Json::obj([
-                ("latency", Json::num_u64(row.score_latency)),
-                ("saturation", Json::num_u64(row.score_saturation)),
-                ("discard", Json::num_u64(row.score_discard)),
-            ]),
-        ),
-    ])
-}
-
-fn sessions_json(sessions: &WireSessionStats) -> Json {
-    let mut fields = vec![
-        ("enabled", Json::Bool(sessions.enabled)),
-        ("ticks", Json::num_u64(sessions.ticks)),
-        (
-            "top",
-            Json::Arr(sessions.top.iter().map(session_row_json).collect()),
-        ),
-    ];
-    if let Some(row) = &sessions.lookup {
-        fields.push(("lookup", session_row_json(row)));
-    }
-    Json::obj(fields)
 }
 
 fn stage_label(raw: u8) -> String {
@@ -232,10 +184,10 @@ fn stage_label(raw: u8) -> String {
     }
 }
 
-fn health_json(health: &WireHealth) -> Json {
+fn health_json(health: &HealthSnapshot) -> Json {
     Json::obj([
         ("enabled", Json::Bool(health.enabled)),
-        ("verdict", Json::Str(verdict_label(health.verdict))),
+        ("verdict", Json::Str(health.verdict.name().to_string())),
         ("ticks", Json::num_u64(health.ticks)),
         (
             "rules",
@@ -246,7 +198,7 @@ fn health_json(health: &WireHealth) -> Json {
                     .map(|rule| {
                         Json::obj([
                             ("rule", Json::Str(rule.name.clone())),
-                            ("verdict", Json::Str(verdict_label(rule.verdict))),
+                            ("verdict", Json::Str(rule.verdict.name().to_string())),
                             ("fast_burn", Json::Num(rule.fast_burn)),
                             ("slow_burn", Json::Num(rule.slow_burn)),
                         ])
@@ -264,8 +216,8 @@ fn health_json(health: &WireHealth) -> Json {
                         Json::obj([
                             ("tick", Json::num_u64(t.tick)),
                             ("rule", Json::Str(t.rule.clone())),
-                            ("from", Json::Str(verdict_label(t.from))),
-                            ("to", Json::Str(verdict_label(t.to))),
+                            ("from", Json::Str(t.from.name().to_string())),
+                            ("to", Json::Str(t.to.name().to_string())),
                             ("fast_burn", Json::Num(t.fast_burn)),
                             ("slow_burn", Json::Num(t.slow_burn)),
                         ])
@@ -294,14 +246,14 @@ fn health_json(health: &WireHealth) -> Json {
     ])
 }
 
-fn print_health(health: &WireHealth) {
+fn print_health(health: &HealthSnapshot) {
     if !health.enabled {
         println!("health          off (enable ServeConfig::health on the server)");
         return;
     }
     println!(
         "health          {} after {} evaluation ticks",
-        verdict_label(health.verdict),
+        health.verdict.name(),
         health.ticks
     );
     if !health.rules.is_empty() {
@@ -310,7 +262,7 @@ fn print_health(health: &WireHealth) {
             println!(
                 "{:<28} {:<8} {:>8.3} {:>8.3}",
                 rule.name,
-                verdict_label(rule.verdict),
+                rule.verdict.name(),
                 rule.fast_burn,
                 rule.slow_burn
             );
@@ -321,8 +273,8 @@ fn print_health(health: &WireHealth) {
             "tick {:<6} {} {} -> {} (fast {:.3}, slow {:.3})",
             t.tick,
             t.rule,
-            verdict_label(t.from),
-            verdict_label(t.to),
+            t.from.name(),
+            t.to.name(),
             t.fast_burn,
             t.slow_burn
         );
@@ -331,7 +283,7 @@ fn print_health(health: &WireHealth) {
 
 /// The worst-sessions table: one row per heavy-hitter, worst combined
 /// score first, plus the lookup row when one was requested.
-fn print_sessions(sessions: &WireSessionStats) {
+fn print_sessions(sessions: &SessionObsSnapshot) {
     if !sessions.enabled {
         println!("sessions        off (enable ServeConfig::sessions on the server)");
         if let Some(row) = &sessions.lookup {
@@ -360,15 +312,12 @@ fn print_sessions(sessions: &WireSessionStats) {
     }
 }
 
-fn print_session_row(row: &laelaps_serve::wire::WireSessionRow, ticks: u64) {
-    let combined = row
-        .score_latency
-        .saturating_add(row.score_saturation)
-        .saturating_add(row.score_discard);
-    let staleness = if row.last_drain_tick == 0 {
+fn print_session_row(row: &SessionObsRow, ticks: u64) {
+    let s = &row.stats;
+    let staleness = if s.last_drain_tick == 0 {
         "never".to_string()
     } else {
-        format!("-{}", ticks.saturating_sub(row.last_drain_tick))
+        format!("-{}", ticks.saturating_sub(s.last_drain_tick))
     };
     println!(
         "{:<8} {:<14} {:>5} {:>3} {:>8} {:>11} {:>8} {:>9} {:>7} {:>9} {:>8}",
@@ -376,13 +325,13 @@ fn print_session_row(row: &laelaps_serve::wire::WireSessionRow, ticks: u64) {
         row.patient,
         row.shard,
         row.generation,
-        row.frames_in,
-        row.frames_processed,
-        row.frames_dropped,
-        row.frames_discarded,
-        row.ewma_drain_us,
+        s.frames_in,
+        s.frames_processed,
+        s.frames_dropped,
+        s.frames_discarded,
+        s.ewma_drain_us,
         staleness,
-        combined
+        row.scores.combined()
     );
 }
 
@@ -409,7 +358,7 @@ fn sparkline(series: &[Vec<u64>], word: usize) -> String {
 /// The refreshing top-like view: service throughput, verdicts and burn
 /// rates, shard saturation, the worst sessions, and sparklines over the
 /// health time-series.
-fn print_watch(stats: &WireStats, health: &WireHealth, sessions: &WireSessionStats) {
+fn print_watch(stats: &WireStats, health: &HealthSnapshot, sessions: &SessionObsSnapshot) {
     print_stats(stats);
     println!();
     print_health(health);
@@ -536,7 +485,7 @@ fn main() {
             });
             let sessions = fetch_sessions(&addr, session);
             if arg_present(&args, "--json") {
-                print!("{}", sessions_json(&sessions).render_pretty());
+                print!("{}", session_obs_json(&sessions).render_pretty());
             } else {
                 print_sessions(&sessions);
             }

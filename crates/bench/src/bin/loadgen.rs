@@ -56,14 +56,14 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use laelaps_bench::json::Json;
-use laelaps_bench::{arg_present, arg_value, prom};
+use laelaps_bench::{arg_present, arg_value, prom, session_obs_json};
 use laelaps_core::PatientModel;
 use laelaps_eval::parallel::{default_threads, parallel_map};
 use laelaps_eval::runner::{train_laelaps, PreparedPatient};
 use laelaps_ieeg::synth::demo_patient;
 use laelaps_ieeg::Recording;
 use laelaps_serve::net::{IngestClient, IngestServer};
-use laelaps_serve::wire::{WireHealth, WireSessionStats, WireStats};
+use laelaps_serve::wire::WireStats;
 use laelaps_serve::{
     DetectionService, HealthConfig, HealthSnapshot, ModelRegistry, PushError, ServeConfig,
     ServiceStats, SessionObsConfig, SessionObsSnapshot, TelemetryConfig, TraceConfig,
@@ -466,50 +466,7 @@ fn health_obj(health: &HealthSnapshot) -> Json {
         ),
         ("worst_fast_burn", round2(worst_fast)),
         ("worst_slow_burn", round2(worst_slow)),
-        (
-            "transitions",
-            Json::num_u64(health.transitions.len() as u64),
-        ),
-    ])
-}
-
-/// The run's closing per-session view: the heavy-hitter rows, worst
-/// combined score first. Always emitted — a disabled layer yields
-/// `"enabled": false` with an empty row list.
-fn session_obs_obj(obs: &SessionObsSnapshot) -> Json {
-    Json::obj([
-        ("enabled", Json::Bool(obs.enabled)),
-        ("ticks", Json::num_u64(obs.ticks)),
-        (
-            "top",
-            Json::Arr(
-                obs.top
-                    .iter()
-                    .map(|row| {
-                        Json::obj([
-                            ("session", Json::num_u64(row.session)),
-                            ("patient", Json::Str(row.patient.clone())),
-                            ("shard", Json::num_u64(row.shard as u64)),
-                            ("frames_in", Json::num_u64(row.stats.frames_in)),
-                            (
-                                "frames_processed",
-                                Json::num_u64(row.stats.frames_processed),
-                            ),
-                            ("frames_dropped", Json::num_u64(row.stats.frames_dropped)),
-                            (
-                                "frames_discarded",
-                                Json::num_u64(row.stats.frames_discarded),
-                            ),
-                            ("ewma_drain_us", Json::num_u64(row.stats.ewma_drain_us)),
-                            ("last_drain_tick", Json::num_u64(row.stats.last_drain_tick)),
-                            ("score_latency", Json::num_u64(row.scores.latency)),
-                            ("score_saturation", Json::num_u64(row.scores.saturation)),
-                            ("score_discard", Json::num_u64(row.scores.discard)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
+        ("transitions", Json::num_u64(health.transitions_total)),
     ])
 }
 
@@ -741,7 +698,7 @@ fn main() {
         ("shards", shard_rows(&report.stats)),
         ("trace", trace_obj(&report.stats)),
         ("health", health_obj(&report.health)),
-        ("session_obs", session_obs_obj(&report.session_obs)),
+        ("session_obs", session_obs_json(&report.session_obs)),
         ("overhead_check", overhead),
     ]);
     std::fs::write(&out_path, doc.render_pretty()).expect("artifact writes");
@@ -750,8 +707,8 @@ fn main() {
     if let Some(path) = prom_out {
         let scrape = prom::render(
             &WireStats::from_stats(&report.stats),
-            &WireHealth::from_snapshot(&report.health),
-            &WireSessionStats::from_snapshot(&report.session_obs),
+            &report.health,
+            &report.session_obs,
         );
         std::fs::write(&path, scrape).expect("prom artifact writes");
         eprintln!("loadgen: wrote {path}");

@@ -1,8 +1,9 @@
 //! Minimal Prometheus text-exposition (format 0.0.4) renderer for the
 //! service's wire introspection snapshots.
 //!
-//! Takes the same [`WireStats`] / [`WireHealth`] payloads the
-//! introspection connection answers with and flattens them into the
+//! Takes the same [`WireStats`] / [`HealthSnapshot`] /
+//! [`SessionObsSnapshot`] payloads the introspection connection answers
+//! with and flattens them into the
 //! plain-text `# HELP` / `# TYPE` / sample-line format every Prometheus
 //! scraper (and `promtool`) understands — no client library, no
 //! registry, just deterministic string assembly, so the output is stable
@@ -20,16 +21,17 @@
 //! * the SLO engine: `health_verdict` (0 = ok, 1 = degraded,
 //!   2 = critical), per-rule `slo_verdict{rule=…}` and
 //!   `slo_burn_rate{rule=…,window=fast|slow}`, and
-//!   `health_transitions_total`. `health_enabled 0` with no rule rows
-//!   means the server runs without health evaluation;
+//!   `health_transitions_total` (every transition since the evaluator
+//!   started, not just the journal's). `health_enabled 0` with no rule
+//!   rows means the server runs without health evaluation;
 //! * the per-session layer (`laelaps_session_*`, session id as label):
 //!   **bounded** — only the heavy-hitter top-K rows render, never one
 //!   row per live session, so cardinality stays `O(shards × top_k)`
 //!   however many sessions stream. `session_obs_enabled 0` with no
 //!   session rows means the layer is off.
 
-use laelaps_serve::wire::{WireHealth, WireSessionStats, WireStats};
-use laelaps_serve::Stage;
+use laelaps_serve::wire::WireStats;
+use laelaps_serve::{HealthSnapshot, SessionObsSnapshot, Stage};
 
 /// Renders `f` the way Prometheus expects: shortest round-trip decimal
 /// (Rust's `Display` for `f64`), with non-finite values spelled in the
@@ -93,7 +95,7 @@ impl Exposition {
 /// Renders one complete scrape: the service stats, the health view,
 /// then the per-session heavy hitters. Deterministic for fixed inputs —
 /// suitable for golden tests and for diffing two scrapes.
-pub fn render(stats: &WireStats, health: &WireHealth, sessions: &WireSessionStats) -> String {
+pub fn render(stats: &WireStats, health: &HealthSnapshot, sessions: &SessionObsSnapshot) -> String {
     let mut exp = Exposition::new();
 
     exp.family("sessions", "gauge", "Sessions currently registered.");
@@ -255,7 +257,7 @@ pub fn render(stats: &WireStats, health: &WireHealth, sessions: &WireSessionStat
         "gauge",
         "Folded service verdict: 0 = ok, 1 = degraded, 2 = critical.",
     );
-    exp.sample("health_verdict", &[], health.verdict as f64);
+    exp.sample("health_verdict", &[], health.verdict as u8 as f64);
     exp.family(
         "health_ticks_total",
         "counter",
@@ -268,7 +270,11 @@ pub fn render(stats: &WireStats, health: &WireHealth, sessions: &WireSessionStat
         "Per-rule verdict: 0 = ok, 1 = degraded, 2 = critical.",
     );
     for rule in &health.rules {
-        exp.sample("slo_verdict", &[("rule", &rule.name)], rule.verdict as f64);
+        exp.sample(
+            "slo_verdict",
+            &[("rule", &rule.name)],
+            rule.verdict as u8 as f64,
+        );
     }
     exp.family(
         "slo_burn_rate",
@@ -290,12 +296,12 @@ pub fn render(stats: &WireStats, health: &WireHealth, sessions: &WireSessionStat
     exp.family(
         "health_transitions_total",
         "counter",
-        "Verdict transitions currently retained in the journal.",
+        "Verdict transitions (rule and overall) since the evaluator started.",
     );
     exp.sample(
         "health_transitions_total",
         &[],
-        health.transitions.len() as f64,
+        health.transitions_total as f64,
     );
 
     exp.family(
@@ -319,10 +325,10 @@ pub fn render(stats: &WireStats, health: &WireHealth, sessions: &WireSessionStat
     for row in &sessions.top {
         let id = row.session.to_string();
         for (outcome, value) in [
-            ("in", row.frames_in),
-            ("processed", row.frames_processed),
-            ("dropped", row.frames_dropped),
-            ("discarded", row.frames_discarded),
+            ("in", row.stats.frames_in),
+            ("processed", row.stats.frames_processed),
+            ("dropped", row.stats.frames_dropped),
+            ("discarded", row.stats.frames_discarded),
         ] {
             exp.sample(
                 "session_frames_total",
@@ -341,7 +347,7 @@ pub fn render(stats: &WireStats, health: &WireHealth, sessions: &WireSessionStat
         exp.sample(
             "session_ewma_drain_us",
             &[("session", &id)],
-            row.ewma_drain_us as f64,
+            row.stats.ewma_drain_us as f64,
         );
     }
     exp.family(
@@ -354,7 +360,7 @@ pub fn render(stats: &WireStats, health: &WireHealth, sessions: &WireSessionStat
         exp.sample(
             "session_last_drain_tick",
             &[("session", &id)],
-            row.last_drain_tick as f64,
+            row.stats.last_drain_tick as f64,
         );
     }
     exp.family(
@@ -365,9 +371,9 @@ pub fn render(stats: &WireStats, health: &WireHealth, sessions: &WireSessionStat
     for row in &sessions.top {
         let id = row.session.to_string();
         for (dimension, value) in [
-            ("latency", row.score_latency),
-            ("saturation", row.score_saturation),
-            ("discard", row.score_discard),
+            ("latency", row.scores.latency),
+            ("saturation", row.scores.saturation),
+            ("discard", row.scores.discard),
         ] {
             exp.sample(
                 "session_score",
@@ -403,8 +409,8 @@ mod tests {
     fn disabled_health_still_renders_the_gauge() {
         let text = render(
             &WireStats::default(),
-            &WireHealth::default(),
-            &WireSessionStats::default(),
+            &HealthSnapshot::default(),
+            &SessionObsSnapshot::default(),
         );
         assert!(text.contains("laelaps_health_enabled 0\n"));
         assert!(text.contains("laelaps_health_verdict 0\n"));
@@ -414,5 +420,29 @@ mod tests {
             !text.contains("session_frames_total{"),
             "no session rows when disabled"
         );
+    }
+
+    #[test]
+    fn transitions_total_is_not_capped_by_the_journal() {
+        let transition = laelaps_serve::HealthTransition {
+            tick: 3,
+            rule: "overall".into(),
+            from: laelaps_serve::HealthVerdict::Ok,
+            to: laelaps_serve::HealthVerdict::Critical,
+            fast_burn: 1.0,
+            slow_burn: 1.0,
+        };
+        let health = HealthSnapshot {
+            enabled: true,
+            transitions_total: 7,
+            transitions: vec![transition.clone(), transition],
+            ..HealthSnapshot::default()
+        };
+        let text = render(
+            &WireStats::default(),
+            &health,
+            &SessionObsSnapshot::default(),
+        );
+        assert!(text.contains("laelaps_health_transitions_total 7\n"));
     }
 }

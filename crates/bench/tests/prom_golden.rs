@@ -1,14 +1,15 @@
 //! Golden-file test for the Prometheus text exposition: a fixed
-//! [`WireStats`] + [`WireHealth`] + [`WireSessionStats`] fixture must
+//! [`WireStats`] + [`HealthSnapshot`] + [`SessionObsSnapshot`] fixture must
 //! render byte-for-byte to `tests/golden/health.prom`. If the
 //! renderer's output format changes deliberately, regenerate the golden
 //! by running this test and copying the printed actual output over the
 //! file.
 
 use laelaps_bench::prom;
-use laelaps_serve::wire::{
-    WireHealth, WireHealthEvent, WireRuleEval, WireSeriesSample, WireSessionRow, WireSessionStats,
-    WireShard, WireStage, WireStats,
+use laelaps_serve::wire::{WireShard, WireStage, WireStats};
+use laelaps_serve::{
+    HealthSnapshot, HealthTransition, HealthVerdict, RuleEval, SeriesSample, SessionObsRow,
+    SessionObsSnapshot, SessionScores, SessionStats,
 };
 
 const GOLDEN: &str = include_str!("golden/health.prom");
@@ -65,100 +66,109 @@ fn fixture_stats() -> WireStats {
     }
 }
 
-fn fixture_health() -> WireHealth {
-    WireHealth {
+fn fixture_health() -> HealthSnapshot {
+    HealthSnapshot {
         enabled: true,
-        verdict: 1,
+        verdict: HealthVerdict::Degraded,
         ticks: 240,
+        transitions_total: 2,
         rules: vec![
-            WireRuleEval {
+            RuleEval {
                 name: "stage_p99:classify".into(),
-                verdict: 0,
+                verdict: HealthVerdict::Ok,
                 fast_burn: 0.125,
                 slow_burn: 0.25,
             },
-            WireRuleEval {
+            RuleEval {
                 name: "drop_rate".into(),
-                verdict: 1,
+                verdict: HealthVerdict::Degraded,
                 fast_burn: 1.5,
                 slow_burn: 0.75,
             },
-            WireRuleEval {
+            RuleEval {
                 name: "shard_stall".into(),
-                verdict: 0,
+                verdict: HealthVerdict::Ok,
                 fast_burn: 0.0,
                 slow_burn: 0.0,
             },
         ],
         transitions: vec![
-            WireHealthEvent {
+            HealthTransition {
                 tick: 197,
                 rule: "drop_rate".into(),
-                from: 0,
-                to: 1,
+                from: HealthVerdict::Ok,
+                to: HealthVerdict::Degraded,
                 fast_burn: 1.5,
                 slow_burn: 0.75,
             },
-            WireHealthEvent {
+            HealthTransition {
                 tick: 197,
                 rule: "overall".into(),
-                from: 0,
-                to: 1,
+                from: HealthVerdict::Ok,
+                to: HealthVerdict::Degraded,
                 fast_burn: 1.5,
                 slow_burn: 0.75,
             },
         ],
-        series: vec![WireSeriesSample {
+        series: vec![SeriesSample {
             seq: 239,
             words: vec![2_730, 2_728, 2, 0, 0, 7],
         }],
     }
 }
 
-fn fixture_sessions() -> WireSessionStats {
-    WireSessionStats {
+fn fixture_sessions() -> SessionObsSnapshot {
+    SessionObsSnapshot {
         enabled: true,
         ticks: 9_120,
         top: vec![
-            WireSessionRow {
+            SessionObsRow {
                 session: 41,
                 shard: 0,
                 generation: 2,
                 patient: "chb07".into(),
-                frames_in: 20_480,
-                frames_dropped: 128,
-                frames_refused: 0,
-                frames_discarded: 64,
-                frames_processed: 20_224,
-                events_out: 79,
-                alarms_out: 2,
-                drains: 311,
-                max_drain_micros: 8_912,
-                last_drain_tick: 9_119,
-                ewma_drain_us: 412,
-                score_latency: 96_344,
-                score_saturation: 2_177,
-                score_discard: 64,
+                stats: SessionStats {
+                    frames_in: 20_480,
+                    frames_dropped: 128,
+                    frames_refused: 0,
+                    frames_discarded: 64,
+                    frames_processed: 20_224,
+                    events_out: 79,
+                    alarms_out: 2,
+                    drains: 311,
+                    max_drain_micros: 8_912,
+                    last_drain_tick: 9_119,
+                    ewma_drain_us: 412,
+                },
+                scores: SessionScores {
+                    latency: 96_344,
+                    saturation: 2_177,
+                    discard: 64,
+                },
             },
-            WireSessionRow {
+            SessionObsRow {
                 session: 7,
                 shard: 1,
                 generation: 1,
                 patient: "chb01".into(),
-                frames_in: 10_240,
-                frames_dropped: 0,
-                frames_refused: 0,
-                frames_discarded: 0,
-                frames_processed: 10_240,
-                events_out: 40,
-                alarms_out: 0,
-                drains: 160,
-                max_drain_micros: 2_048,
-                last_drain_tick: 9_040,
-                ewma_drain_us: 96,
-                score_latency: 11_520,
-                score_saturation: 310,
-                score_discard: 0,
+                stats: SessionStats {
+                    frames_in: 10_240,
+                    frames_dropped: 0,
+                    frames_refused: 0,
+                    frames_discarded: 0,
+                    frames_processed: 10_240,
+                    events_out: 40,
+                    alarms_out: 0,
+                    drains: 160,
+                    max_drain_micros: 2_048,
+                    last_drain_tick: 9_040,
+                    ewma_drain_us: 96,
+                },
+                scores: SessionScores {
+                    latency: 11_520,
+                    saturation: 310,
+                    discard: 0,
+                },
             },
         ],
         lookup: None,

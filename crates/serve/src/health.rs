@@ -7,10 +7,11 @@
 //! [`crate::DetectionService`] when [`HealthConfig::enabled`] is set)
 //! ticks once per [`HealthConfig::interval`]:
 //!
-//! 1. it samples the cumulative telemetry, forms the per-tick *deltas*
-//!    (frame-counter rates, per-tick stage histograms via
-//!    [`HistogramSnapshot::delta_since`]), and pushes one fixed-width
-//!    row into a [`SeriesRing`] — the windowed time-series behind the
+//! 1. it samples the cumulative telemetry and forms the per-tick
+//!    *deltas* (frame-counter rates, per-tick stage histograms via
+//!    [`HistogramSnapshot::delta_since`]), keeping the newest ticks in
+//!    one window — the burn rules read its tail, and
+//!    [`HealthSnapshot::series`] renders it as fixed-width rows for the
 //!    `watch` view and the wire `HealthSnapshot`;
 //! 2. it evaluates every declarative [`SloRule`] over two sliding
 //!    windows — a **fast** window (catches sharp regressions quickly)
@@ -55,12 +56,12 @@ use std::time::Duration;
 use laelaps_check::sync::atomic::{AtomicU64, Ordering};
 use laelaps_check::sync::{Condvar, Mutex};
 
-use laelaps_telemetry::{HistogramSnapshot, SeriesRing, SeriesSample, Stage, StagesSnapshot};
+use laelaps_telemetry::{HistogramSnapshot, Stage, StagesSnapshot};
 
 use crate::stats::ShardGauges;
 
-/// Words per [`SeriesRing`] row: the five frame-counter deltas, the
-/// total queued-chunk gauge, then one windowed p99 per pipeline stage.
+/// Words per [`SeriesSample`] row: the five frame-counter deltas, the
+/// total queued-chunk gauge, then one per-tick p99 per pipeline stage.
 pub const SAMPLE_WORDS: usize = 6 + Stage::ALL.len();
 
 /// Index of a frame-counter delta inside a sample row.
@@ -75,7 +76,8 @@ const W_RING_DEPTH: usize = 5;
 const W_STAGE0: usize = 6;
 
 /// How many recent series rows a [`HealthSnapshot`] carries (enough for
-/// a `watch` sparkline without bloating the wire frame).
+/// a `watch` sparkline without bloating the wire frame). The evaluator
+/// keeps at least this many ticks.
 const SERIES_EXPORT: usize = 32;
 
 /// How many per-session samples one evaluation tick retains — the
@@ -123,9 +125,6 @@ pub struct HealthConfig {
     /// allowed to *downgrade* (upgrades are immediate) — the anti-flap
     /// hysteresis.
     pub recover_after: u32,
-    /// [`SeriesRing`] capacity, in samples (rounded up to a power of
-    /// two).
-    pub series_capacity: usize,
     /// How many [`HealthTransition`]s the journal retains
     /// (overwrite-oldest).
     pub journal_capacity: usize,
@@ -141,7 +140,6 @@ impl Default for HealthConfig {
             fast_window: 4,
             slow_window: 24,
             recover_after: 3,
-            series_capacity: 256,
             journal_capacity: 64,
             rules: SloRule::default_rules(),
         }
@@ -360,6 +358,16 @@ pub struct HealthTransition {
     pub slow_burn: f64,
 }
 
+/// One row of the health time-series: one evaluation tick's deltas.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SeriesSample {
+    /// Row number (0-based; the first tick only sets the baseline, so
+    /// evaluation tick `t` produces row `t - 1`).
+    pub seq: u64,
+    /// [`SAMPLE_WORDS`] words, named by [`sample_label`].
+    pub words: Vec<u64>,
+}
+
 /// Point-in-time health view: the folded verdict, every rule's latest
 /// evaluation, the recent transition journal, and the tail of the
 /// metric time-series. `enabled: false` (with everything empty) when
@@ -372,12 +380,16 @@ pub struct HealthSnapshot {
     pub verdict: HealthVerdict,
     /// Evaluation ticks performed so far.
     pub ticks: u64,
+    /// Verdict transitions since the evaluator started, rule and
+    /// overall alike — every one ever journaled, including those the
+    /// bounded journal has since dropped.
+    pub transitions_total: u64,
     /// Latest evaluation of every configured rule.
     pub rules: Vec<RuleEval>,
     /// Recent verdict transitions, oldest first (bounded journal).
     pub transitions: Vec<HealthTransition>,
     /// Tail of the metric time-series, oldest first: one row per tick,
-    /// [`SAMPLE_WORDS`] words per row (see [`sample_label`]).
+    /// at most 32 rows.
     pub series: Vec<SeriesSample>,
 }
 
@@ -423,8 +435,10 @@ pub(crate) struct SessionHealthSample {
     pub ewma_drain_us: u64,
 }
 
-/// One tick's deltas, kept for window evaluation.
+/// One tick's deltas, kept for window evaluation and the series rows.
 struct TickDelta {
+    /// [`SeriesSample::seq`] of this tick's row.
+    seq: u64,
     /// `[in, processed, dropped, refused, discarded]` gained this tick.
     frames: [u64; 5],
     /// Total queued chunks at sample time (gauge, not a delta).
@@ -452,6 +466,8 @@ struct RuleState {
 /// contended only by snapshot readers, never by the hot path).
 struct EvalCore {
     baseline: Option<Baseline>,
+    /// The newest `max(slow_window, SERIES_EXPORT)` ticks, oldest first;
+    /// the burn rules read only their newest `fast` / `slow` ticks.
     window: VecDeque<TickDelta>,
     rules: Vec<RuleState>,
     /// Consecutive heartbeat-less ticks (with work queued), per shard.
@@ -464,16 +480,16 @@ struct EvalCore {
     latest: Vec<RuleEval>,
     verdict: HealthVerdict,
     journal: VecDeque<HealthTransition>,
+    transitions_total: u64,
     ticks: u64,
 }
 
-/// Shared health state: heartbeat counters the workers bump, the metric
-/// time-series, and the evaluator's rule state. Owned by the service
-/// (`Arc`), shared with the evaluator thread.
+/// Shared health state: heartbeat counters the workers bump and the
+/// evaluator's windows and rule state. Owned by the service (`Arc`),
+/// shared with the evaluator thread.
 pub(crate) struct HealthState {
     config: HealthConfig,
     heartbeats: Box<[AtomicU64]>,
-    series: SeriesRing,
     core: Mutex<EvalCore>,
     stop: Mutex<bool>,
     wake: Condvar,
@@ -499,10 +515,8 @@ impl HealthState {
                 slow_burn: 0.0,
             })
             .collect();
-        let series = SeriesRing::new(config.series_capacity, SAMPLE_WORDS);
         HealthState {
             heartbeats: (0..shards).map(|_| AtomicU64::new(0)).collect(),
-            series,
             core: Mutex::new(EvalCore {
                 baseline: None,
                 window: VecDeque::new(),
@@ -512,6 +526,7 @@ impl HealthState {
                 latest,
                 verdict: HealthVerdict::Ok,
                 journal: VecDeque::new(),
+                transitions_total: 0,
                 ticks: 0,
             }),
             stop: Mutex::new(false),
@@ -634,19 +649,13 @@ impl HealthState {
                         .delta_since(baseline.stages.get(stage))
                 })
                 .collect();
-            let mut words = [0u64; SAMPLE_WORDS];
-            words[..5].copy_from_slice(&frames);
-            words[W_RING_DEPTH] = ring_depth;
-            for (index, hist) in stages.iter().enumerate() {
-                words[W_STAGE0 + index] = hist.p99();
-            }
-            self.series.push(&words);
             core.window.push_back(TickDelta {
+                seq: tick - 1,
                 frames,
                 ring_depth,
                 stages,
             });
-            while core.window.len() > self.config.slow_window.max(1) {
+            while core.window.len() > self.config.slow_window.max(SERIES_EXPORT) {
                 core.window.pop_front();
             }
         }
@@ -751,6 +760,7 @@ impl HealthState {
             });
         }
         core.latest = latest;
+        core.transitions_total += transitions.len() as u64;
         for transition in &transitions {
             core.journal.push_back(transition.clone());
             while core.journal.len() > self.config.journal_capacity.max(1) {
@@ -763,13 +773,15 @@ impl HealthState {
     /// Point-in-time [`HealthSnapshot`].
     pub(crate) fn snapshot(&self) -> HealthSnapshot {
         let core = self.core.lock().expect("health core lock poisoned");
+        let skip = core.window.len().saturating_sub(SERIES_EXPORT);
         HealthSnapshot {
             enabled: true,
             verdict: core.verdict,
             ticks: core.ticks,
+            transitions_total: core.transitions_total,
             rules: core.latest.clone(),
             transitions: core.journal.iter().cloned().collect(),
-            series: self.series.recent(SERIES_EXPORT),
+            series: core.window.iter().skip(skip).map(series_row).collect(),
         }
     }
 }
@@ -781,6 +793,18 @@ impl std::fmt::Debug for HealthState {
             .field("verdict", &core.verdict)
             .field("ticks", &core.ticks)
             .finish_non_exhaustive()
+    }
+}
+
+/// One tick as a [`SeriesSample`] row, word order as [`sample_label`].
+fn series_row(tick: &TickDelta) -> SeriesSample {
+    let mut words = Vec::with_capacity(SAMPLE_WORDS);
+    words.extend_from_slice(&tick.frames);
+    words.push(tick.ring_depth);
+    words.extend(tick.stages.iter().map(HistogramSnapshot::p99));
+    SeriesSample {
+        seq: tick.seq,
+        words,
     }
 }
 
@@ -898,6 +922,8 @@ fn rate_burns(
 
 #[cfg(test)]
 mod tests {
+    use laelaps_telemetry::{StageSet, TelemetryConfig};
+
     use super::*;
 
     /// A synthetic observation: cumulative frames, idle stages, one
@@ -1175,6 +1201,71 @@ mod tests {
         assert_eq!(series[1].words[W_FRAMES_DROPPED], 15);
         assert_eq!(series[1].words[W_RING_DEPTH], 2);
         assert_eq!(series[0].words.len(), SAMPLE_WORDS);
+
+        // 41 ticks with the default windows: the snapshot keeps the
+        // newest 32 rows, each exactly its tick's deltas. Tick `t` gains
+        // 100 + t frames in and 90 + t processed, queues t % 7 chunks,
+        // and records one drain span of 1000 + t µs (a new maximum, so
+        // its p99 is exact); tick 10 also drops 5000 frames.
+        let state = HealthState::new(HealthConfig::enabled(), 1);
+        let stages = StageSet::new(&TelemetryConfig::default());
+        let mut frames = [0u64; 5];
+        for t in 0..41u64 {
+            if t > 0 {
+                frames[W_FRAMES_IN] += 100 + t;
+                frames[W_FRAMES_PROCESSED] += 90 + t;
+            }
+            if t == 10 {
+                frames[W_FRAMES_DROPPED] += 5_000;
+            }
+            stages.record_micros(Stage::Drain, 1_000 + t);
+            state.tick(HealthInput {
+                stages: stages.snapshot(),
+                ..input(frames, (t % 7) as usize, 0, t)
+            });
+        }
+        let snapshot = state.snapshot();
+        let seqs: Vec<u64> = snapshot.series.iter().map(|row| row.seq).collect();
+        assert_eq!(seqs, (8..=39).collect::<Vec<u64>>());
+        let oldest = &snapshot.series[0];
+        assert_eq!(oldest.words[..W_STAGE0], [109, 99, 0, 0, 0, 2]);
+        assert_eq!(oldest.words[W_STAGE0 + Stage::Drain as usize], 1_009);
+        assert_eq!(snapshot.series[1].words[W_FRAMES_DROPPED], 5_000);
+        // The burst is still in the series but older than the slow
+        // window (24 ticks), so neither burn window reads it.
+        let drop_rate = snapshot
+            .rules
+            .iter()
+            .find(|rule| rule.name == "drop_rate")
+            .expect("default rules include drop_rate");
+        assert_eq!((drop_rate.fast_burn, drop_rate.slow_burn), (0.0, 0.0));
+    }
+
+    #[test]
+    fn transitions_are_counted_past_the_journal_capacity() {
+        let state = HealthState::new(
+            HealthConfig {
+                journal_capacity: 2,
+                ..config(vec![SloRule::ShardStall { max_missed: 1 }])
+            },
+            1,
+        );
+        // Stall (one heartbeat-less tick with work queued → Critical),
+        // recover (recover_after clean ticks → Ok), stall again: every
+        // swing moves the rule and the overall verdict.
+        let mut all = state.tick(input([100, 50, 0, 0, 0], 3, 50, 7));
+        let mut heartbeat = 7;
+        for _ in 0..2 {
+            all.extend(state.tick(input([100, 50, 0, 0, 0], 3, 50, heartbeat)));
+            for _ in 0..3 {
+                heartbeat += 1;
+                all.extend(state.tick(input([100, 100, 0, 0, 0], 0, 0, heartbeat)));
+            }
+        }
+        assert!(all.len() >= 5, "enough transitions to overflow: {all:?}");
+        let snapshot = state.snapshot();
+        assert_eq!(snapshot.transitions_total, all.len() as u64);
+        assert_eq!(snapshot.transitions, all[all.len() - 2..]);
     }
 
     #[test]

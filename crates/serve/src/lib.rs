@@ -39,7 +39,7 @@
 //!   ```text
 //!   offset  size  field
 //!   0       2     magic  b"LW"
-//!   2       1     wire format version (lowest version carrying the tag)
+//!   2       1     wire format version (one version, WIRE_VERSION)
 //!   3       1     message type tag
 //!   4       4     payload length P (u32 LE), P ≤ 16 MiB
 //!   8       P     payload (all scalars little-endian)
@@ -131,13 +131,13 @@
 //!        └────> shard TopK sketches (fixed K, wait-free add)
 //!                          │ merge on demand
 //!                          v
-//!        SessionObsSnapshot { top-K rows + lookup } ── wire v5
+//!        SessionObsSnapshot { top-K rows + lookup } ── wire
 //!               (`laelapsctl sessions` / `top`, Prometheus)
 //!   ```
 //!
 //!   Read it in process via [`DetectionService::session_obs_snapshot`],
-//!   or over the wire: `SessionStatsRequest` (wire v5, optional
-//!   single-session lookup) answers with `SessionStatsSnapshot` — what
+//!   or over the wire: `SessionStatsRequest` (optional single-session
+//!   lookup) answers with `SessionStatsSnapshot` — what
 //!   `laelapsctl sessions` / `laelapsctl top` render and
 //!   `laelapsctl stats --prom` exposes as bounded `laelaps_session_*`
 //!   Prometheus families. The layer defaults **off**; enabled, the
@@ -145,8 +145,9 @@
 //! * **Health & SLO** ([`ServeConfig::health`] / [`HealthSnapshot`]) —
 //!   a continuous judgment layer on top of the raw telemetry: a
 //!   dedicated evaluator thread samples the counters, gauges, and stage
-//!   histograms once per interval, stores the windowed deltas in an
-//!   allocation-free [`laelaps_telemetry::SeriesRing`], and evaluates
+//!   histograms once per interval, keeps the per-tick deltas in a
+//!   bounded window (the tail of which is [`HealthSnapshot::series`]),
+//!   and evaluates
 //!   declarative [`SloRule`]s (stage p99 ceilings, drop/refusal/discard
 //!   rate ceilings, ring saturation, feedback-propagation staleness,
 //!   and — when the per-session layer is on — per-session stall,
@@ -162,8 +163,8 @@
 //!   [`ServiceEvent::Health`] on the bus and accumulate in a bounded
 //!   journal; read the whole surface in process via
 //!   [`DetectionService::health_snapshot`], over the wire via
-//!   `HealthRequest` (wire v4 — what `laelapsctl health` / `watch`
-//!   render and `laelapsctl stats --prom` exposes as Prometheus text).
+//!   `HealthRequest` (what `laelapsctl health` / `watch` render and
+//!   `laelapsctl stats --prom` exposes as Prometheus text).
 //!   Health defaults **off**: no evaluator thread, no heartbeat bumps,
 //!   zero extra hot-path clock reads.
 //!
@@ -201,8 +202,8 @@ pub mod wire;
 pub use adapt::{AdaptStats, AdaptationEngine, FeedbackSegment};
 pub use error::{Result, ServeError};
 pub use health::{
-    sample_label, HealthConfig, HealthSnapshot, HealthTransition, HealthVerdict, RuleEval, SloRule,
-    SAMPLE_WORDS,
+    sample_label, HealthConfig, HealthSnapshot, HealthTransition, HealthVerdict, RuleEval,
+    SeriesSample, SloRule, SAMPLE_WORDS,
 };
 pub use net::{IngestClient, IngestServer};
 pub use persist::{
@@ -221,6 +222,6 @@ pub use stats::{
 // `laelaps-telemetry` import. The trace types ride along: they configure
 // [`ServeConfig::trace`] and decode [`DetectionService::trace_snapshot`].
 pub use laelaps_telemetry::{
-    HistogramSnapshot, PinReason, PinnedTrace, SeriesSample, SpanContext, SpanRecord, Stage,
-    StagesSnapshot, TelemetryConfig, TraceConfig, TraceSnapshot,
+    HistogramSnapshot, PinReason, PinnedTrace, SpanContext, SpanRecord, Stage, StagesSnapshot,
+    TelemetryConfig, TraceConfig, TraceSnapshot,
 };

@@ -56,8 +56,8 @@ use crate::persist::ModelRegistry;
 use crate::service::DetectionService;
 use crate::session::{EventTap, PushError, SessionHandle, SessionOutput};
 use crate::wire::{
-    event_message, health_message, read_message, read_message_spanned, session_stats_message,
-    trace_dump_message, write_message, Message, WireStats, MAX_PAYLOAD,
+    event_message, read_message, read_message_spanned, trace_dump_message, write_message, Message,
+    WireStats, MAX_PAYLOAD,
 };
 use event_log::EventLog;
 
@@ -463,10 +463,12 @@ fn serve_introspection(
             Message::TraceDumpRequest { limit } => {
                 trace_dump_message(&service.trace_snapshot(), limit)
             }
-            Message::HealthRequest => health_message(&service.health_snapshot()),
-            Message::SessionStatsRequest { session } => {
-                session_stats_message(&service.session_obs_snapshot(session))
-            }
+            Message::HealthRequest => Message::HealthSnapshot {
+                health: Box::new(service.health_snapshot()),
+            },
+            Message::SessionStatsRequest { session } => Message::SessionStatsSnapshot {
+                sessions: Box::new(service.session_obs_snapshot(session)),
+            },
             _ => unreachable!("serve_introspection dispatches only on requests"),
         };
         send(writer, &reply)?;

@@ -109,7 +109,7 @@ pub struct ServeConfig {
     /// workers feed fixed-capacity heavy-hitter sketches — memory
     /// `O(shards × top_k)`, never `O(sessions)` — ranking the worst
     /// sessions by drain latency, ring saturation, and discards; query
-    /// with [`DetectionService::session_obs_snapshot`], the wire v5
+    /// with [`DetectionService::session_obs_snapshot`], the wire
     /// `SessionStatsRequest`, or `laelapsctl sessions` / `top`.
     pub sessions: SessionObsConfig,
 }

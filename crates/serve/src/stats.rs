@@ -305,7 +305,7 @@ pub struct SessionObsRow {
 }
 
 /// Snapshot returned by [`crate::DetectionService::session_obs_snapshot`]
-/// and carried by the wire v5 `SessionStatsSnapshot` message.
+/// and carried by the wire `SessionStatsSnapshot` message.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SessionObsSnapshot {
     /// Whether the per-session layer is on
@@ -444,8 +444,7 @@ pub struct TelemetrySnapshot {
     pub enabled: bool,
     /// Latency histogram per hot-path stage, microseconds. Estimate
     /// percentiles via [`laelaps_telemetry::HistogramSnapshot::p99`] and
-    /// friends; merge across services with
-    /// [`StagesSnapshot::merge`].
+    /// friends.
     pub stages: StagesSnapshot,
     /// Frames drained per second over the trailing 5 s window.
     pub recent_frames_per_sec: f64,

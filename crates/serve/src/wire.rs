@@ -5,28 +5,23 @@
 //! a flipped bit anywhere in a frame is caught before the payload is
 //! interpreted, and a reader never trusts a length it cannot bound.
 //!
-//! ## Frame layout (wire versions 1 through 4)
+//! ## Frame layout
 //!
 //! ```text
 //! offset  size  field
 //! 0       2     magic  b"LW"
-//! 2       1     wire format version (the lowest version carrying the tag:
-//!               1 for the original messages, 2 for Feedback/ModelUpdated,
-//!               3 for the introspection messages, 4 for the health
-//!               messages)
+//! 2       1     wire format version (WIRE_VERSION on every frame)
 //! 3       1     message type tag
 //! 4       4     payload length P (u32 LE), P ≤ 16 MiB
 //! 8       P     payload (all scalars little-endian)
 //! 8+P     8     FNV-1a 64 checksum of bytes [0, 8+P) (u64 LE)
 //! ```
 //!
-//! Readers gate on the version byte *before* verifying the checksum, so a
-//! frame from a future protocol fails with
-//! [`ServeError::VersionMismatch`], not a corruption error — the same
-//! discipline as the model files. Because writers stamp each frame with
-//! the lowest version that carries its tag, an upgraded peer stays fully
-//! interoperable with a version-1 peer until it actually sends a
-//! version-2 (or version-3) message (rolling upgrades).
+//! There is one protocol version: writers stamp [`WIRE_VERSION`] on
+//! every frame and readers accept exactly that version. Readers gate on
+//! the version byte *before* verifying the checksum, so a frame from any
+//! other protocol version fails with [`ServeError::VersionMismatch`],
+//! not a corruption error — the same discipline as the model files.
 //!
 //! ## Messages
 //!
@@ -47,8 +42,8 @@
 //! | 0x85 | `ModelUpdated`     | s → c     | `u64` model generation now running |
 //! | 0x86 | `StatsSnapshot`    | s → c     | one [`WireStats`] (see its docs for the layout) |
 //! | 0x87 | `TraceDump`        | s → c     | `u64` recorded, `u64` dropped, `u32` span count, then 40-byte [`WireSpan`] records |
-//! | 0x88 | `HealthSnapshot`   | s → c     | one [`WireHealth`] (see its docs for the layout) |
-//! | 0x89 | `SessionStatsSnapshot` | s → c | one [`WireSessionStats`] (see its docs for the layout) |
+//! | 0x88 | `HealthSnapshot`   | s → c     | one [`crate::HealthSnapshot`] (layout below) |
+//! | 0x89 | `SessionStatsSnapshot` | s → c | one [`crate::SessionObsSnapshot`] (layout below) |
 //! | 0xEE | `Error`            | either    | `u32` reason length, UTF-8 reason bytes |
 //!
 //! An event payload is `u64` index, `u64` end sample, `f64` time bits,
@@ -65,16 +60,35 @@
 //! A label byte other than 0/1 is rejected as corrupt before the payload
 //! reaches any training code.
 //!
-//! `StatsRequest`, `TraceDumpRequest`, and `HealthRequest` open a
-//! read-only introspection exchange instead of a streaming session: when
-//! a connection's *first* message is one of them, the server answers each
-//! request with a `StatsSnapshot` / `TraceDump` / `HealthSnapshot` and
-//! keeps answering until the peer sends `Close` or disconnects. This is
-//! how `laelapsctl` inspects a running [`crate::IngestServer`] without
-//! opening a patient session. `HealthRequest` is the version-4 surface:
-//! it returns the SLO engine's verdict, per-rule burn rates, transition
-//! journal, and time-series tail (empty, with `enabled: false`, when
-//! [`crate::ServeConfig::health`] is off).
+//! `StatsRequest`, `TraceDumpRequest`, `HealthRequest`, and
+//! `SessionStatsRequest` open a read-only introspection exchange instead
+//! of a streaming session: when a connection's *first* message is one of
+//! them, the server answers each request with a `StatsSnapshot` /
+//! `TraceDump` / `HealthSnapshot` / `SessionStatsSnapshot` and keeps
+//! answering until the peer sends `Close` or disconnects. This is how
+//! `laelapsctl` inspects a running [`crate::IngestServer`] without
+//! opening a patient session. `HealthRequest` returns the SLO engine's
+//! verdict, per-rule burn rates, transition journal, and time-series
+//! tail (empty, with `enabled: false`, when [`crate::ServeConfig::health`]
+//! is off).
+//!
+//! A `HealthSnapshot` payload is `u8` enabled, `u8` verdict, `u64`
+//! ticks, `u64` transitions total, then three counted lists (`u32`
+//! count first): rules (`u32` name length + UTF-8 name, `u8` verdict,
+//! `f64` fast and slow burn bits), transitions (`u64` tick, `u32` rule
+//! length + UTF-8 rule, `u8` from and `u8` to verdicts, `f64` fast and
+//! slow burn bits), and series rows (`u64` seq, `u32` word count, that
+//! many `u64` words). Verdicts are [`crate::HealthVerdict`]
+//! discriminants; any other byte is corrupt.
+//!
+//! A `SessionStatsSnapshot` payload is `u8` enabled, `u64` drain ticks,
+//! `u32` top-row count + that many rows, then `u8` lookup flag + one row
+//! when the flag is 1. A row is `u64` session id, `u32` shard, `u64`
+//! model generation, `u32` patient length + UTF-8 patient bytes, eleven
+//! `u64` [`crate::SessionStats`] words (frames in / dropped / refused /
+//! discarded / processed, events, alarms, drains, max drain µs, last
+//! drain tick, EWMA drain µs), and three `u64` heavy-hitter scores
+//! (latency / saturation / discard).
 //!
 //! # Examples
 //!
@@ -102,19 +116,16 @@ use std::io::{Read, Write};
 use laelaps_core::{Alarm, Classification, DetectorEvent, Label};
 
 use crate::error::{Result, ServeError};
+use crate::health::{HealthSnapshot, HealthTransition, HealthVerdict, RuleEval, SeriesSample};
 use crate::persist::Fnv1a;
+use crate::stats::{SessionObsRow, SessionObsSnapshot, SessionScores, SessionStats};
 
 /// Magic bytes opening every wire frame.
 pub const WIRE_MAGIC: [u8; 2] = *b"LW";
 
-/// Highest wire format version this build reads. Writers stamp each
-/// frame with the **lowest version that carries its tag** — version-1
-/// messages still go out as version 1, so an upgraded peer keeps
-/// interoperating with a not-yet-upgraded one until it actually uses a
-/// version-2 feature (`Feedback` / `ModelUpdated`), a version-3 one (the
-/// introspection messages), a version-4 one (the health messages), or a
-/// version-5 one (the per-session stats messages).
-pub const WIRE_VERSION: u8 = 5;
+/// The wire format version: stamped on every frame, and the only one a
+/// reader accepts.
+pub const WIRE_VERSION: u8 = 6;
 
 /// Frame header length: magic + version + tag + payload length.
 pub const HEADER_LEN: usize = 8;
@@ -146,12 +157,6 @@ const TAG_TRACE_DUMP: u8 = 0x87;
 const TAG_HEALTH_SNAPSHOT: u8 = 0x88;
 const TAG_SESSION_STATS_SNAPSHOT: u8 = 0x89;
 const TAG_ERROR: u8 = 0xEE;
-
-/// What writers put in the reserved `u64` slot of [`WireStats`] and
-/// [`WireSessionRow`], which once carried `windows_batched`; readers skip
-/// it. Keeping the slot leaves every frame's layout and version stamp
-/// unchanged.
-const RESERVED_WORD: u64 = 0;
 
 /// One ingest-protocol message; see the [module docs](self) for the
 /// exact byte layout of each variant.
@@ -194,13 +199,11 @@ pub enum Message {
         limit: u32,
     },
     /// Client → server: ask for the SLO engine's live health view. Same
-    /// introspection-only placement as [`Message::StatsRequest`]; the
-    /// first version-4 message.
+    /// introspection-only placement as [`Message::StatsRequest`].
     HealthRequest,
     /// Client → server: ask for the per-session observability view (the
     /// heavy-hitter top-K plus an optional single-session lookup). Same
-    /// introspection-only placement as [`Message::StatsRequest`]; the
-    /// first version-5 message.
+    /// introspection-only placement as [`Message::StatsRequest`].
     SessionStatsRequest {
         /// A specific session id to look up alongside the top-K, if any.
         session: Option<u64>,
@@ -253,14 +256,14 @@ pub enum Message {
     HealthSnapshot {
         /// The health view (boxed: it carries the series tail and only
         /// travels on the introspection path).
-        health: Box<WireHealth>,
+        health: Box<HealthSnapshot>,
     },
     /// Server → client: the heavy-hitter sessions and optional lookup
     /// row answering a [`Message::SessionStatsRequest`].
     SessionStatsSnapshot {
         /// The snapshot (boxed: it carries per-session rows and only
         /// travels on the introspection path).
-        sessions: Box<WireSessionStats>,
+        sessions: Box<SessionObsSnapshot>,
     },
     /// Server → client: the flight recorder's retained spans answering a
     /// [`Message::TraceDumpRequest`].
@@ -339,9 +342,9 @@ pub struct WireShard {
 /// histograms, and per-shard saturation gauges — everything `laelapsctl`
 /// renders, flattened from [`crate::ServiceStats`].
 ///
-/// Layout: `u32` sessions, `u32` retired, nine `u64` words (frames in /
-/// processed / dropped / refused / discarded, events, alarms, a reserved
-/// word, max drain µs), `f64` recent frames/s (IEEE-754 bits), `u8`
+/// Layout: `u32` sessions, `u32` retired, eight `u64` words (frames in /
+/// processed / dropped / refused / discarded, events, alarms, max drain
+/// µs), `f64` recent frames/s (IEEE-754 bits), `u8`
 /// telemetry enabled, `u8` trace enabled, four `u64` tracer counters
 /// (minted / recorded / dropped / pinned), `u32` stage count + that many
 /// [`WireStage`] rows, `u32` shard count + that many [`WireShard`] rows.
@@ -446,7 +449,6 @@ impl WireStats {
             self.frames_discarded,
             self.events_out,
             self.alarms_out,
-            RESERVED_WORD,
             self.max_drain_micros,
         ] {
             out.extend_from_slice(&v.to_le_bytes());
@@ -493,7 +495,6 @@ impl WireStats {
         let frames_discarded = cursor.u64()?;
         let events_out = cursor.u64()?;
         let alarms_out = cursor.u64()?;
-        cursor.u64()?; // reserved word
         let max_drain_micros = cursor.u64()?;
         let recent_frames_per_sec = cursor.f64_bits()?;
         let telemetry_enabled = cursor.u8()? != 0;
@@ -609,403 +610,6 @@ impl WireSpan {
     }
 }
 
-/// One SLO rule's latest evaluation on the wire (mirrors
-/// [`crate::RuleEval`]).
-///
-/// Layout: `u32` name length + UTF-8 name bytes, `u8` verdict
-/// discriminant, `f64` fast burn (IEEE-754 bits), `f64` slow burn.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct WireRuleEval {
-    /// [`crate::SloRule::name`] of the rule.
-    pub name: String,
-    /// [`crate::HealthVerdict`] discriminant (decode with
-    /// [`crate::HealthVerdict::from_raw`]; unknown values are a newer
-    /// peer's verdicts and safe to treat as worst-case).
-    pub verdict: u8,
-    /// Burn rate over the fast window (`observed / ceiling`).
-    pub fast_burn: f64,
-    /// Burn rate over the slow window.
-    pub slow_burn: f64,
-}
-
-/// One journaled verdict transition on the wire (mirrors
-/// [`crate::HealthTransition`]).
-///
-/// Layout: `u64` tick, `u32` rule-name length + UTF-8 bytes, `u8` from
-/// verdict, `u8` to verdict, `f64` fast burn bits, `f64` slow burn bits.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct WireHealthEvent {
-    /// Evaluation tick at which the transition happened.
-    pub tick: u64,
-    /// Rule that moved (or `"overall"` for the folded verdict).
-    pub rule: String,
-    /// [`crate::HealthVerdict`] discriminant before.
-    pub from: u8,
-    /// [`crate::HealthVerdict`] discriminant after.
-    pub to: u8,
-    /// Fast-window burn at transition time.
-    pub fast_burn: f64,
-    /// Slow-window burn at transition time.
-    pub slow_burn: f64,
-}
-
-/// One metric time-series row on the wire (mirrors
-/// [`laelaps_telemetry::SeriesSample`]; word meanings are
-/// [`crate::sample_label`]).
-///
-/// Layout: `u64` sequence number, `u32` word count, then that many
-/// `u64` words.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct WireSeriesSample {
-    /// The row's sequence number (tick order, monotonically increasing).
-    pub seq: u64,
-    /// The row's words, in [`crate::sample_label`] order.
-    pub words: Vec<u64>,
-}
-
-/// The live-health payload of [`Message::HealthSnapshot`]: the SLO
-/// engine's folded verdict, every rule's latest burn rates, the
-/// transition journal, and the tail of the metric time-series —
-/// everything `laelapsctl health` / `laelapsctl watch` render, flattened
-/// from [`crate::HealthSnapshot`].
-///
-/// Layout: `u8` enabled, `u8` verdict discriminant, `u64` ticks, `u32`
-/// rule count + that many [`WireRuleEval`] records, `u32` transition
-/// count + that many [`WireHealthEvent`] records, `u32` sample count +
-/// that many [`WireSeriesSample`] rows.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct WireHealth {
-    /// Whether health evaluation is running on the server.
-    pub enabled: bool,
-    /// [`crate::HealthVerdict`] discriminant of the folded verdict.
-    pub verdict: u8,
-    /// Evaluation ticks performed so far.
-    pub ticks: u64,
-    /// Latest evaluation of every configured rule.
-    pub rules: Vec<WireRuleEval>,
-    /// Recent verdict transitions, oldest first.
-    pub transitions: Vec<WireHealthEvent>,
-    /// Tail of the metric time-series, oldest first.
-    pub series: Vec<WireSeriesSample>,
-}
-
-impl WireHealth {
-    /// Flattens a [`crate::HealthSnapshot`] into its wire form.
-    pub fn from_snapshot(snapshot: &crate::HealthSnapshot) -> Self {
-        WireHealth {
-            enabled: snapshot.enabled,
-            verdict: snapshot.verdict as u8,
-            ticks: snapshot.ticks,
-            rules: snapshot
-                .rules
-                .iter()
-                .map(|r| WireRuleEval {
-                    name: r.name.clone(),
-                    verdict: r.verdict as u8,
-                    fast_burn: r.fast_burn,
-                    slow_burn: r.slow_burn,
-                })
-                .collect(),
-            transitions: snapshot
-                .transitions
-                .iter()
-                .map(|t| WireHealthEvent {
-                    tick: t.tick,
-                    rule: t.rule.clone(),
-                    from: t.from as u8,
-                    to: t.to as u8,
-                    fast_burn: t.fast_burn,
-                    slow_burn: t.slow_burn,
-                })
-                .collect(),
-            series: snapshot
-                .series
-                .iter()
-                .map(|s| WireSeriesSample {
-                    seq: s.seq,
-                    words: s.words.clone(),
-                })
-                .collect(),
-        }
-    }
-
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        out.push(self.enabled as u8);
-        out.push(self.verdict);
-        out.extend_from_slice(&self.ticks.to_le_bytes());
-        out.extend_from_slice(&(self.rules.len() as u32).to_le_bytes());
-        for rule in &self.rules {
-            encode_str(out, &rule.name);
-            out.push(rule.verdict);
-            out.extend_from_slice(&rule.fast_burn.to_bits().to_le_bytes());
-            out.extend_from_slice(&rule.slow_burn.to_bits().to_le_bytes());
-        }
-        out.extend_from_slice(&(self.transitions.len() as u32).to_le_bytes());
-        for event in &self.transitions {
-            out.extend_from_slice(&event.tick.to_le_bytes());
-            encode_str(out, &event.rule);
-            out.push(event.from);
-            out.push(event.to);
-            out.extend_from_slice(&event.fast_burn.to_bits().to_le_bytes());
-            out.extend_from_slice(&event.slow_burn.to_bits().to_le_bytes());
-        }
-        out.extend_from_slice(&(self.series.len() as u32).to_le_bytes());
-        for sample in &self.series {
-            out.extend_from_slice(&sample.seq.to_le_bytes());
-            out.extend_from_slice(&(sample.words.len() as u32).to_le_bytes());
-            for word in &sample.words {
-                out.extend_from_slice(&word.to_le_bytes());
-            }
-        }
-    }
-
-    fn decode(cursor: &mut Cursor<'_>) -> Result<Self> {
-        let enabled = cursor.u8()? != 0;
-        let verdict = cursor.u8()?;
-        let ticks = cursor.u64()?;
-        let rule_count = cursor.u32()?;
-        let mut rules = Vec::new();
-        for _ in 0..rule_count {
-            rules.push(WireRuleEval {
-                name: decode_str(cursor, "rule name")?,
-                verdict: cursor.u8()?,
-                fast_burn: cursor.f64_bits()?,
-                slow_burn: cursor.f64_bits()?,
-            });
-        }
-        let transition_count = cursor.u32()?;
-        let mut transitions = Vec::new();
-        for _ in 0..transition_count {
-            transitions.push(WireHealthEvent {
-                tick: cursor.u64()?,
-                rule: decode_str(cursor, "transition rule")?,
-                from: cursor.u8()?,
-                to: cursor.u8()?,
-                fast_burn: cursor.f64_bits()?,
-                slow_burn: cursor.f64_bits()?,
-            });
-        }
-        let sample_count = cursor.u32()?;
-        let mut series = Vec::new();
-        for _ in 0..sample_count {
-            let seq = cursor.u64()?;
-            let word_count = cursor.u32()?;
-            let mut words = Vec::new();
-            for _ in 0..word_count {
-                words.push(cursor.u64()?);
-            }
-            series.push(WireSeriesSample { seq, words });
-        }
-        Ok(WireHealth {
-            enabled,
-            verdict,
-            ticks,
-            rules,
-            transitions,
-            series,
-        })
-    }
-}
-
-/// One session's observability row on the wire (mirrors
-/// [`crate::SessionObsRow`]).
-///
-/// Layout: `u64` session id, `u32` shard, `u64` model generation, `u32`
-/// patient length + UTF-8 patient bytes, twelve `u64` words (frames in
-/// / dropped / refused / discarded / processed, events, alarms, a
-/// reserved word, drains, max drain µs, last drain tick, EWMA drain µs),
-/// three `u64` heavy-hitter scores (latency / saturation / discard).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct WireSessionRow {
-    /// Session id.
-    pub session: u64,
-    /// Worker shard the session is pinned to.
-    pub shard: u32,
-    /// Generation of the model the session is currently running.
-    pub generation: u64,
-    /// Patient id the session serves.
-    pub patient: String,
-    /// Frames accepted into the session's queue.
-    pub frames_in: u64,
-    /// Frames rejected by lossy pushes against a full queue.
-    pub frames_dropped: u64,
-    /// Frames offered after the session closed or failed.
-    pub frames_refused: u64,
-    /// Accepted frames thrown away after a detector failure.
-    pub frames_discarded: u64,
-    /// Frames run through the detector.
-    pub frames_processed: u64,
-    /// Classification events emitted.
-    pub events_out: u64,
-    /// Alarms raised.
-    pub alarms_out: u64,
-    /// Worker drain batches executed for this session.
-    pub drains: u64,
-    /// Worst-case wall time of one drain batch, microseconds.
-    pub max_drain_micros: u64,
-    /// Service drain tick of the last productive drain (0 = never);
-    /// compare with [`WireSessionStats::ticks`] for staleness.
-    pub last_drain_tick: u64,
-    /// EWMA of the session's drain latency, microseconds.
-    pub ewma_drain_us: u64,
-    /// Heavy-hitter latency score (sum of EWMAs over productive passes).
-    pub score_latency: u64,
-    /// Heavy-hitter saturation score (sum of observed ring depths).
-    pub score_saturation: u64,
-    /// Heavy-hitter discard score (total frames discarded as sketched).
-    pub score_discard: u64,
-}
-
-impl WireSessionRow {
-    fn from_row(row: &crate::SessionObsRow) -> Self {
-        let s = &row.stats;
-        WireSessionRow {
-            session: row.session,
-            shard: row.shard.min(u32::MAX as usize) as u32,
-            generation: row.generation,
-            patient: row.patient.clone(),
-            frames_in: s.frames_in,
-            frames_dropped: s.frames_dropped,
-            frames_refused: s.frames_refused,
-            frames_discarded: s.frames_discarded,
-            frames_processed: s.frames_processed,
-            events_out: s.events_out,
-            alarms_out: s.alarms_out,
-            drains: s.drains,
-            max_drain_micros: s.max_drain_micros,
-            last_drain_tick: s.last_drain_tick,
-            ewma_drain_us: s.ewma_drain_us,
-            score_latency: row.scores.latency,
-            score_saturation: row.scores.saturation,
-            score_discard: row.scores.discard,
-        }
-    }
-
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.session.to_le_bytes());
-        out.extend_from_slice(&self.shard.to_le_bytes());
-        out.extend_from_slice(&self.generation.to_le_bytes());
-        encode_str(out, &self.patient);
-        for v in [
-            self.frames_in,
-            self.frames_dropped,
-            self.frames_refused,
-            self.frames_discarded,
-            self.frames_processed,
-            self.events_out,
-            self.alarms_out,
-            RESERVED_WORD,
-            self.drains,
-            self.max_drain_micros,
-            self.last_drain_tick,
-            self.ewma_drain_us,
-            self.score_latency,
-            self.score_saturation,
-            self.score_discard,
-        ] {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-    }
-
-    fn decode(cursor: &mut Cursor<'_>) -> Result<Self> {
-        Ok(WireSessionRow {
-            session: cursor.u64()?,
-            shard: cursor.u32()?,
-            generation: cursor.u64()?,
-            patient: decode_str(cursor, "session patient id")?,
-            frames_in: cursor.u64()?,
-            frames_dropped: cursor.u64()?,
-            frames_refused: cursor.u64()?,
-            frames_discarded: cursor.u64()?,
-            frames_processed: cursor.u64()?,
-            events_out: cursor.u64()?,
-            alarms_out: cursor.u64()?,
-            drains: {
-                cursor.u64()?; // reserved word
-                cursor.u64()?
-            },
-            max_drain_micros: cursor.u64()?,
-            last_drain_tick: cursor.u64()?,
-            ewma_drain_us: cursor.u64()?,
-            score_latency: cursor.u64()?,
-            score_saturation: cursor.u64()?,
-            score_discard: cursor.u64()?,
-        })
-    }
-}
-
-/// The per-session payload of [`Message::SessionStatsSnapshot`]: the
-/// heavy-hitter top-K (worst combined score first) plus the optional
-/// single-session lookup row — everything `laelapsctl sessions` /
-/// `laelapsctl top` render, flattened from [`crate::SessionObsSnapshot`].
-///
-/// Layout: `u8` enabled, `u64` drain ticks, `u32` top-row count + that
-/// many [`WireSessionRow`] records, `u8` lookup flag + one
-/// [`WireSessionRow`] when the flag is 1.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct WireSessionStats {
-    /// Whether the per-session layer was on
-    /// ([`crate::ServeConfig::sessions`]); when `false`, `top` is empty
-    /// but `lookup` still answers.
-    pub enabled: bool,
-    /// Current service drain tick — compare with
-    /// [`WireSessionRow::last_drain_tick`] for staleness.
-    pub ticks: u64,
-    /// Worst sessions by combined heavy-hitter score, worst first.
-    pub top: Vec<WireSessionRow>,
-    /// The explicitly requested session, if asked for and still live.
-    pub lookup: Option<WireSessionRow>,
-}
-
-impl WireSessionStats {
-    /// Flattens a [`crate::SessionObsSnapshot`] into its wire form.
-    pub fn from_snapshot(snapshot: &crate::SessionObsSnapshot) -> Self {
-        WireSessionStats {
-            enabled: snapshot.enabled,
-            ticks: snapshot.ticks,
-            top: snapshot.top.iter().map(WireSessionRow::from_row).collect(),
-            lookup: snapshot.lookup.as_ref().map(WireSessionRow::from_row),
-        }
-    }
-
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        out.push(self.enabled as u8);
-        out.extend_from_slice(&self.ticks.to_le_bytes());
-        out.extend_from_slice(&(self.top.len() as u32).to_le_bytes());
-        for row in &self.top {
-            row.encode_into(out);
-        }
-        match &self.lookup {
-            Some(row) => {
-                out.push(1);
-                row.encode_into(out);
-            }
-            None => out.push(0),
-        }
-    }
-
-    fn decode(cursor: &mut Cursor<'_>) -> Result<Self> {
-        let enabled = cursor.u8()? != 0;
-        let ticks = cursor.u64()?;
-        let count = cursor.u32()?;
-        let mut top = Vec::new();
-        for _ in 0..count {
-            top.push(WireSessionRow::decode(cursor)?);
-        }
-        let lookup = match cursor.u8()? {
-            0 => None,
-            1 => Some(WireSessionRow::decode(cursor)?),
-            other => return Err(corrupt(format!("unknown lookup flag 0x{other:02x}"))),
-        };
-        Ok(WireSessionStats {
-            enabled,
-            ticks,
-            top,
-            lookup,
-        })
-    }
-}
-
 fn encode_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(&(s.len() as u32).to_le_bytes());
     out.extend_from_slice(s.as_bytes());
@@ -1017,20 +621,174 @@ fn decode_str(cursor: &mut Cursor<'_>, what: &str) -> Result<String> {
         .map_err(|_| corrupt(format!("{what} is not UTF-8")))
 }
 
-/// Builds the [`Message::HealthSnapshot`] answering a
-/// [`Message::HealthRequest`].
-pub fn health_message(snapshot: &crate::HealthSnapshot) -> Message {
-    Message::HealthSnapshot {
-        health: Box::new(WireHealth::from_snapshot(snapshot)),
+fn encode_health(out: &mut Vec<u8>, health: &HealthSnapshot) {
+    out.push(health.enabled as u8);
+    out.push(health.verdict as u8);
+    out.extend_from_slice(&health.ticks.to_le_bytes());
+    out.extend_from_slice(&health.transitions_total.to_le_bytes());
+    out.extend_from_slice(&(health.rules.len() as u32).to_le_bytes());
+    for rule in &health.rules {
+        encode_str(out, &rule.name);
+        out.push(rule.verdict as u8);
+        out.extend_from_slice(&rule.fast_burn.to_bits().to_le_bytes());
+        out.extend_from_slice(&rule.slow_burn.to_bits().to_le_bytes());
+    }
+    out.extend_from_slice(&(health.transitions.len() as u32).to_le_bytes());
+    for transition in &health.transitions {
+        out.extend_from_slice(&transition.tick.to_le_bytes());
+        encode_str(out, &transition.rule);
+        out.push(transition.from as u8);
+        out.push(transition.to as u8);
+        out.extend_from_slice(&transition.fast_burn.to_bits().to_le_bytes());
+        out.extend_from_slice(&transition.slow_burn.to_bits().to_le_bytes());
+    }
+    out.extend_from_slice(&(health.series.len() as u32).to_le_bytes());
+    for row in &health.series {
+        out.extend_from_slice(&row.seq.to_le_bytes());
+        out.extend_from_slice(&(row.words.len() as u32).to_le_bytes());
+        for word in &row.words {
+            out.extend_from_slice(&word.to_le_bytes());
+        }
     }
 }
 
-/// Builds the [`Message::SessionStatsSnapshot`] answering a
-/// [`Message::SessionStatsRequest`].
-pub fn session_stats_message(snapshot: &crate::SessionObsSnapshot) -> Message {
-    Message::SessionStatsSnapshot {
-        sessions: Box::new(WireSessionStats::from_snapshot(snapshot)),
+fn decode_verdict(cursor: &mut Cursor<'_>) -> Result<HealthVerdict> {
+    let raw = cursor.u8()?;
+    HealthVerdict::from_raw(raw).ok_or_else(|| corrupt(format!("unknown verdict byte 0x{raw:02x}")))
+}
+
+fn decode_health(cursor: &mut Cursor<'_>) -> Result<HealthSnapshot> {
+    let enabled = cursor.u8()? != 0;
+    let verdict = decode_verdict(cursor)?;
+    let ticks = cursor.u64()?;
+    let transitions_total = cursor.u64()?;
+    let mut rules = Vec::new();
+    for _ in 0..cursor.u32()? {
+        rules.push(RuleEval {
+            name: decode_str(cursor, "rule name")?,
+            verdict: decode_verdict(cursor)?,
+            fast_burn: cursor.f64_bits()?,
+            slow_burn: cursor.f64_bits()?,
+        });
     }
+    let mut transitions = Vec::new();
+    for _ in 0..cursor.u32()? {
+        transitions.push(HealthTransition {
+            tick: cursor.u64()?,
+            rule: decode_str(cursor, "transition rule")?,
+            from: decode_verdict(cursor)?,
+            to: decode_verdict(cursor)?,
+            fast_burn: cursor.f64_bits()?,
+            slow_burn: cursor.f64_bits()?,
+        });
+    }
+    let mut series = Vec::new();
+    for _ in 0..cursor.u32()? {
+        let seq = cursor.u64()?;
+        let mut words = Vec::new();
+        for _ in 0..cursor.u32()? {
+            words.push(cursor.u64()?);
+        }
+        series.push(SeriesSample { seq, words });
+    }
+    Ok(HealthSnapshot {
+        enabled,
+        verdict,
+        ticks,
+        transitions_total,
+        rules,
+        transitions,
+        series,
+    })
+}
+
+fn encode_session_row(out: &mut Vec<u8>, row: &SessionObsRow) {
+    out.extend_from_slice(&row.session.to_le_bytes());
+    out.extend_from_slice(&(row.shard.min(u32::MAX as usize) as u32).to_le_bytes());
+    out.extend_from_slice(&row.generation.to_le_bytes());
+    encode_str(out, &row.patient);
+    let s = &row.stats;
+    for v in [
+        s.frames_in,
+        s.frames_dropped,
+        s.frames_refused,
+        s.frames_discarded,
+        s.frames_processed,
+        s.events_out,
+        s.alarms_out,
+        s.drains,
+        s.max_drain_micros,
+        s.last_drain_tick,
+        s.ewma_drain_us,
+        row.scores.latency,
+        row.scores.saturation,
+        row.scores.discard,
+    ] {
+        out.extend_from_slice(&v.to_le_bytes());
+    }
+}
+
+fn decode_session_row(cursor: &mut Cursor<'_>) -> Result<SessionObsRow> {
+    Ok(SessionObsRow {
+        session: cursor.u64()?,
+        shard: cursor.u32()? as usize,
+        generation: cursor.u64()?,
+        patient: decode_str(cursor, "session patient id")?,
+        stats: SessionStats {
+            frames_in: cursor.u64()?,
+            frames_dropped: cursor.u64()?,
+            frames_refused: cursor.u64()?,
+            frames_discarded: cursor.u64()?,
+            frames_processed: cursor.u64()?,
+            events_out: cursor.u64()?,
+            alarms_out: cursor.u64()?,
+            drains: cursor.u64()?,
+            max_drain_micros: cursor.u64()?,
+            last_drain_tick: cursor.u64()?,
+            ewma_drain_us: cursor.u64()?,
+        },
+        scores: SessionScores {
+            latency: cursor.u64()?,
+            saturation: cursor.u64()?,
+            discard: cursor.u64()?,
+        },
+    })
+}
+
+fn encode_session_obs(out: &mut Vec<u8>, obs: &SessionObsSnapshot) {
+    out.push(obs.enabled as u8);
+    out.extend_from_slice(&obs.ticks.to_le_bytes());
+    out.extend_from_slice(&(obs.top.len() as u32).to_le_bytes());
+    for row in &obs.top {
+        encode_session_row(out, row);
+    }
+    match &obs.lookup {
+        Some(row) => {
+            out.push(1);
+            encode_session_row(out, row);
+        }
+        None => out.push(0),
+    }
+}
+
+fn decode_session_obs(cursor: &mut Cursor<'_>) -> Result<SessionObsSnapshot> {
+    let enabled = cursor.u8()? != 0;
+    let ticks = cursor.u64()?;
+    let mut top = Vec::new();
+    for _ in 0..cursor.u32()? {
+        top.push(decode_session_row(cursor)?);
+    }
+    let lookup = match cursor.u8()? {
+        0 => None,
+        1 => Some(decode_session_row(cursor)?),
+        other => return Err(corrupt(format!("unknown lookup flag 0x{other:02x}"))),
+    };
+    Ok(SessionObsSnapshot {
+        enabled,
+        ticks,
+        top,
+        lookup,
+    })
 }
 
 /// Builds the [`Message::TraceDump`] answering a request with `limit`:
@@ -1159,12 +917,8 @@ impl Message {
             Message::StatsSnapshot { stats } => {
                 stats.encode_into(&mut out);
             }
-            Message::HealthSnapshot { health } => {
-                health.encode_into(&mut out);
-            }
-            Message::SessionStatsSnapshot { sessions } => {
-                sessions.encode_into(&mut out);
-            }
+            Message::HealthSnapshot { health } => encode_health(&mut out, health),
+            Message::SessionStatsSnapshot { sessions } => encode_session_obs(&mut out, sessions),
             Message::TraceDump {
                 recorded,
                 dropped,
@@ -1193,19 +947,6 @@ fn corrupt(reason: impl Into<String>) -> ServeError {
     }
 }
 
-/// The lowest wire version whose readers understand `tag` — what the
-/// writer stamps, so frames using only version-1 features stay readable
-/// by version-1 peers (rolling upgrades).
-fn version_for_tag(tag: u8) -> u8 {
-    match tag {
-        TAG_SESSION_STATS_REQUEST | TAG_SESSION_STATS_SNAPSHOT => 5,
-        TAG_HEALTH_REQUEST | TAG_HEALTH_SNAPSHOT => 4,
-        TAG_STATS_REQUEST | TAG_TRACE_DUMP_REQUEST | TAG_STATS_SNAPSHOT | TAG_TRACE_DUMP => 3,
-        TAG_FEEDBACK | TAG_MODEL_UPDATED => 2,
-        _ => 1,
-    }
-}
-
 /// Encodes `message` into one complete wire frame.
 ///
 /// Does not enforce [`MAX_PAYLOAD`]; use [`write_message`], which
@@ -1215,7 +956,7 @@ pub fn encode_message(message: &Message) -> Vec<u8> {
     let payload = message.payload();
     let mut frame = Vec::with_capacity(HEADER_LEN + payload.len() + CHECKSUM_LEN);
     frame.extend_from_slice(&WIRE_MAGIC);
-    frame.push(version_for_tag(message.tag()));
+    frame.push(WIRE_VERSION);
     frame.push(message.tag());
     frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     frame.extend_from_slice(&payload);
@@ -1275,8 +1016,9 @@ fn read_full<R: Read>(reader: &mut R, buf: &mut [u8]) -> Result<bool> {
 ///
 /// # Errors
 ///
-/// * [`ServeError::VersionMismatch`] — frame from a newer protocol
-///   (gated before the checksum, mirroring [`crate::load_model`]);
+/// * [`ServeError::VersionMismatch`] — frame from any other protocol
+///   version (gated before the checksum, mirroring
+///   [`crate::load_model`]);
 /// * [`ServeError::Corrupt`] — bad magic, oversized or truncated
 ///   payload, checksum mismatch, unknown tag, or malformed payload;
 /// * [`ServeError::Io`] — transport failure.
@@ -1324,7 +1066,7 @@ pub fn read_message_spanned<R: Read>(
         return Err(corrupt("bad magic (not a Laelaps wire frame)"));
     }
     let version = header[2];
-    if version == 0 || version > WIRE_VERSION {
+    if version != WIRE_VERSION {
         return Err(ServeError::VersionMismatch {
             found: version as u64,
             supported: WIRE_VERSION as u32,
@@ -1513,10 +1255,10 @@ fn decode_payload(tag: u8, payload: &[u8]) -> Result<Message> {
             stats: Box::new(WireStats::decode(&mut cursor)?),
         },
         TAG_HEALTH_SNAPSHOT => Message::HealthSnapshot {
-            health: Box::new(WireHealth::decode(&mut cursor)?),
+            health: Box::new(decode_health(&mut cursor)?),
         },
         TAG_SESSION_STATS_SNAPSHOT => Message::SessionStatsSnapshot {
-            sessions: Box::new(WireSessionStats::decode(&mut cursor)?),
+            sessions: Box::new(decode_session_obs(&mut cursor)?),
         },
         TAG_TRACE_DUMP => {
             let recorded = cursor.u64()?;
@@ -1628,39 +1370,40 @@ mod tests {
         }
     }
 
-    fn sample_health() -> WireHealth {
-        WireHealth {
+    fn sample_health() -> HealthSnapshot {
+        HealthSnapshot {
             enabled: true,
-            verdict: 2,
+            verdict: HealthVerdict::Critical,
             ticks: 907,
+            transitions_total: 77,
             rules: vec![
-                WireRuleEval {
-                    name: "stage_p99:classify".into(),
-                    verdict: 0,
+                RuleEval {
+                    name: "stage_p99:drain".into(),
+                    verdict: HealthVerdict::Ok,
                     fast_burn: 0.25,
                     slow_burn: 0.75,
                 },
-                WireRuleEval {
+                RuleEval {
                     name: "shard_stall".into(),
-                    verdict: 2,
+                    verdict: HealthVerdict::Critical,
                     fast_burn: 1.5,
                     slow_burn: 1.5,
                 },
             ],
-            transitions: vec![WireHealthEvent {
+            transitions: vec![HealthTransition {
                 tick: 811,
                 rule: "overall".into(),
-                from: 0,
-                to: 2,
+                from: HealthVerdict::Degraded,
+                to: HealthVerdict::Critical,
                 fast_burn: 1.5,
                 slow_burn: 1.5,
             }],
             series: vec![
-                WireSeriesSample {
+                SeriesSample {
                     seq: 905,
                     words: vec![4096, 4000, 5, 2, 89, 12],
                 },
-                WireSeriesSample {
+                SeriesSample {
                     seq: 906,
                     words: vec![0; 6],
                 },
@@ -1668,37 +1411,51 @@ mod tests {
         }
     }
 
-    fn sample_session_stats() -> WireSessionStats {
-        WireSessionStats {
+    fn sample_session_stats() -> SessionObsSnapshot {
+        SessionObsSnapshot {
             enabled: true,
             ticks: 4_811,
             top: vec![
-                WireSessionRow {
+                SessionObsRow {
                     session: 7,
                     shard: 1,
                     generation: 2,
                     patient: "chb03".into(),
-                    frames_in: 4096,
-                    frames_dropped: 12,
-                    frames_refused: 1,
-                    frames_discarded: 256,
-                    frames_processed: 3828,
-                    events_out: 14,
-                    alarms_out: 1,
-                    drains: 31,
-                    max_drain_micros: 977,
-                    last_drain_tick: 4_810,
-                    ewma_drain_us: 412,
-                    score_latency: 9_001,
-                    score_saturation: 77,
-                    score_discard: 256,
+                    stats: SessionStats {
+                        frames_in: 4096,
+                        frames_dropped: 12,
+                        frames_refused: 1,
+                        frames_discarded: 256,
+                        frames_processed: 3828,
+                        events_out: 14,
+                        alarms_out: 1,
+                        drains: 31,
+                        max_drain_micros: 977,
+                        last_drain_tick: 4_810,
+                        ewma_drain_us: 412,
+                    },
+                    scores: SessionScores {
+                        latency: 9_001,
+                        saturation: 77,
+                        discard: 256,
+                    },
                 },
-                WireSessionRow::default(),
+                SessionObsRow {
+                    session: 0,
+                    patient: String::new(),
+                    shard: 0,
+                    generation: 0,
+                    stats: SessionStats::default(),
+                    scores: SessionScores::default(),
+                },
             ],
-            lookup: Some(WireSessionRow {
+            lookup: Some(SessionObsRow {
                 session: 11,
                 patient: "chb01".into(),
-                ..Default::default()
+                shard: 0,
+                generation: 0,
+                stats: SessionStats::default(),
+                scores: SessionScores::default(),
             }),
         }
     }
@@ -1787,6 +1544,11 @@ mod tests {
         ];
         let mut stream = Vec::new();
         for message in &messages {
+            let frame = encode_message(message);
+            assert_eq!(
+                frame[2], WIRE_VERSION,
+                "{message:?} is stamped WIRE_VERSION"
+            );
             write_message(&mut stream, message).unwrap();
         }
         let mut reader = stream.as_slice();
@@ -1794,48 +1556,6 @@ mod tests {
             assert_eq!(read_message(&mut reader).unwrap().as_ref(), Some(message));
         }
         assert_eq!(read_message(&mut reader).unwrap(), None);
-    }
-
-    #[test]
-    fn session_stats_frames_are_stamped_version_5() {
-        // Older messages must keep their original stamp so v5 builds
-        // stay readable by not-yet-upgraded peers.
-        let frame = encode_message(&Message::SessionStatsRequest { session: None });
-        assert_eq!(frame[2], 5);
-        let frame = encode_message(&session_stats_message(&Default::default()));
-        assert_eq!(frame[2], 5);
-        let frame = encode_message(&Message::HealthRequest);
-        assert_eq!(frame[2], 4);
-        let frame = encode_message(&Message::StatsRequest);
-        assert_eq!(frame[2], 3);
-    }
-
-    #[test]
-    fn reserved_slots_keep_the_snapshot_layouts() {
-        // Same frame lengths as when the slot carried a batched-window
-        // count, so peers on either side of the change read each other.
-        let stats = encode_message(&Message::StatsSnapshot {
-            stats: Box::new(sample_stats()),
-        });
-        let sessions = encode_message(&Message::SessionStatsSnapshot {
-            sessions: Box::new(sample_session_stats()),
-        });
-        assert_eq!(stats.len(), 274);
-        assert_eq!(sessions.len(), 472);
-        // StatsSnapshot: the slot follows `u32` sessions, `u32` retired
-        // and seven `u64` totals. Writers zero it; readers skip it.
-        let slot = HEADER_LEN + 8 + 7 * 8;
-        assert_eq!(stats[slot..slot + 8], [0u8; 8]);
-        let mut patched = stats.clone();
-        patched[slot..slot + 8].copy_from_slice(&u64::MAX.to_le_bytes());
-        patched.truncate(patched.len() - CHECKSUM_LEN);
-        let mut checksum = Fnv1a::new();
-        checksum.update(&patched);
-        patched.extend_from_slice(&checksum.finish().to_le_bytes());
-        assert_eq!(
-            read_message(&mut patched.as_slice()).unwrap(),
-            read_message(&mut stats.as_slice()).unwrap()
-        );
     }
 
     #[test]

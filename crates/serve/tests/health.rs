@@ -123,13 +123,13 @@ fn wedged_shard_goes_critical_over_tcp_and_recovers() {
         panic!("expected a HealthSnapshot reply");
     };
     assert!(health.enabled);
-    assert_eq!(health.verdict, HealthVerdict::Critical as u8);
+    assert_eq!(health.verdict, HealthVerdict::Critical);
     let stall = health
         .rules
         .iter()
         .find(|r| r.name == "shard_stall")
         .expect("watchdog rule on the wire");
-    assert_eq!(stall.verdict, HealthVerdict::Critical as u8);
+    assert_eq!(stall.verdict, HealthVerdict::Critical);
     assert!(!health.transitions.is_empty(), "journal travels too");
     drop(stream);
 

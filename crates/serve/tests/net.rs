@@ -423,7 +423,7 @@ fn tcp_feedback_retrains_hot_swaps_and_streams_model_updated() {
     let _ = std::fs::remove_dir_all(registry.dir());
 }
 
-/// The wire-v3 introspection path against a live server: a connection
+/// The wire introspection path against a live server: a connection
 /// whose first message is a `StatsRequest` becomes a read-only exchange
 /// that answers stats and trace dumps until the peer closes — what
 /// `laelapsctl` does, minus the rendering.

@@ -2,7 +2,7 @@
 //! hold its `O(shards × 3 × top_k)` memory bound while thousands of
 //! sessions stream through, and a single wedged session must trip the
 //! [`SloRule::SessionStall`] watchdog — naming that session id in the
-//! journal — surface over a live wire-v5 `SessionStatsRequest`, and
+//! journal — surface over a live wire `SessionStatsRequest`, and
 //! recover with zero lost frames once unwedged.
 
 mod common;
@@ -129,7 +129,7 @@ fn four_thousand_sessions_stay_within_the_sketch_bound() {
 
 /// Wedges ONE session on a shard that keeps serving its neighbour: the
 /// `SessionStall` watchdog must go Critical naming that session id, the
-/// wire-v5 `SessionStatsRequest` must show the victim's backlog, and
+/// wire `SessionStatsRequest` must show the victim's backlog, and
 /// unwedging must drain every queued frame (zero loss) and walk the
 /// verdict back to Ok.
 #[test]
@@ -197,7 +197,7 @@ fn wedged_session_is_named_by_the_watchdog_and_recovers() {
         critical.transitions
     );
 
-    // A live operator sees the same story over wire v5: the health
+    // A live operator sees the same story over the wire: the health
     // journal carries the named transition, and a SessionStatsRequest
     // lookup on the same connection shows the victim's backlog.
     let mut stream = TcpStream::connect(addr).expect("introspection connects");
@@ -205,12 +205,12 @@ fn wedged_session_is_named_by_the_watchdog_and_recovers() {
     let Some(Message::HealthSnapshot { health }) = read_message(&mut stream).unwrap() else {
         panic!("expected a HealthSnapshot reply");
     };
-    assert_eq!(health.verdict, HealthVerdict::Critical as u8);
+    assert_eq!(health.verdict, HealthVerdict::Critical);
     assert!(
         health
             .transitions
             .iter()
-            .any(|t| t.rule == stall_rule && t.to == HealthVerdict::Critical as u8),
+            .any(|t| t.rule == stall_rule && t.to == HealthVerdict::Critical),
         "wire journal names the wedged session"
     );
     write_message(
@@ -227,9 +227,9 @@ fn wedged_session_is_named_by_the_watchdog_and_recovers() {
     assert!(sessions.enabled);
     let row = sessions.lookup.as_ref().expect("victim resolves");
     assert_eq!(row.session, victim_id);
-    assert_eq!(row.frames_in, queued * CHUNK_FRAMES as u64);
+    assert_eq!(row.stats.frames_in, queued * CHUNK_FRAMES as u64);
     assert!(
-        row.frames_processed < row.frames_in,
+        row.stats.frames_processed < row.stats.frames_in,
         "the wedged session has a visible backlog"
     );
     drop(stream);

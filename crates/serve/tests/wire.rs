@@ -6,7 +6,10 @@ use laelaps_serve::wire::{
     encode_message, read_message, write_message, Message, WireSpan, CHECKSUM_LEN, HEADER_LEN,
     MAX_PAYLOAD, WIRE_VERSION,
 };
-use laelaps_serve::ServeError;
+use laelaps_serve::{
+    HealthSnapshot, HealthTransition, HealthVerdict, RuleEval, SeriesSample, ServeError,
+    SessionObsRow, SessionObsSnapshot, SessionScores, SessionStats,
+};
 
 fn hello_frame() -> Vec<u8> {
     encode_message(&Message::Hello {
@@ -69,27 +72,24 @@ fn bad_magic_is_rejected_before_anything_else() {
 
 #[test]
 fn future_version_is_a_version_mismatch_not_corruption() {
-    let mut frame = hello_frame();
-    frame[2] = WIRE_VERSION + 41;
-    // Deliberately do NOT fix the checksum: the version gate must fire
-    // first, mirroring the model-file loader.
-    let err = read_message(&mut frame.as_slice()).unwrap_err();
-    assert!(
-        matches!(
-            err,
-            ServeError::VersionMismatch {
-                found,
-                supported,
-            } if found == (WIRE_VERSION + 41) as u64 && supported == WIRE_VERSION as u32
-        ),
-        "{err}"
-    );
-    // Version 0 is never valid.
-    frame[2] = 0;
-    assert!(matches!(
-        read_message(&mut frame.as_slice()).unwrap_err(),
-        ServeError::VersionMismatch { found: 0, .. }
-    ));
+    // Newer, older and 0 alike: the reader accepts exactly WIRE_VERSION.
+    for version in [WIRE_VERSION + 41, WIRE_VERSION - 1, 0] {
+        let mut frame = hello_frame();
+        frame[2] = version;
+        // Deliberately do NOT fix the checksum: the version gate must
+        // fire first, mirroring the model-file loader.
+        let err = read_message(&mut frame.as_slice()).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                ServeError::VersionMismatch {
+                    found,
+                    supported,
+                } if found == version as u64 && supported == WIRE_VERSION as u32
+            ),
+            "version {version}: {err}"
+        );
+    }
 }
 
 #[test]
@@ -230,79 +230,6 @@ fn feedback_payload_must_be_whole_samples() {
 }
 
 #[test]
-fn version_stamping_supports_rolling_upgrades() {
-    // Version-1 messages still go out stamped as version 1, so a
-    // not-yet-upgraded peer (which rejects version > 1) keeps reading
-    // everything an upgraded peer sends until a v2 feature is used.
-    let frame = hello_frame();
-    assert_eq!(frame[2], 1, "Hello is a version-1 message");
-    assert!(matches!(
-        read_message(&mut frame.as_slice()).unwrap(),
-        Some(Message::Hello { electrodes: 23, .. })
-    ));
-    // The adaptation messages are the version-2 surface: still stamped
-    // 2, not WIRE_VERSION, so v2 peers keep reading them.
-    let feedback = encode_message(&Message::Feedback {
-        label: laelaps_core::Label::Ictal,
-        chunk: vec![0.0f32; 4].into(),
-    });
-    assert_eq!(feedback[2], 2);
-    let updated = encode_message(&Message::ModelUpdated { generation: 3 });
-    assert_eq!(updated[2], 2);
-    // The introspection messages are the version-3 surface: still
-    // stamped 3, not WIRE_VERSION, so v3 peers keep reading them.
-    assert_eq!(encode_message(&Message::StatsRequest)[2], 3);
-    assert_eq!(
-        encode_message(&Message::TraceDumpRequest { limit: 16 })[2],
-        3
-    );
-    assert_eq!(
-        encode_message(&Message::StatsSnapshot {
-            stats: Box::default(),
-        })[2],
-        3
-    );
-    assert_eq!(
-        encode_message(&Message::TraceDump {
-            recorded: 0,
-            dropped: 0,
-            spans: Vec::new(),
-        })[2],
-        3
-    );
-    // The health messages are the version-4 surface: still stamped 4,
-    // not WIRE_VERSION, so v4 peers keep reading them.
-    assert_eq!(encode_message(&Message::HealthRequest)[2], 4);
-    assert_eq!(
-        encode_message(&Message::HealthSnapshot {
-            health: Box::default(),
-        })[2],
-        4
-    );
-    // The per-session messages are the version-5 surface — the newest,
-    // so they carry WIRE_VERSION itself.
-    assert_eq!(
-        encode_message(&Message::SessionStatsRequest { session: None })[2],
-        WIRE_VERSION
-    );
-    assert_eq!(
-        encode_message(&Message::SessionStatsSnapshot {
-            sessions: Box::default(),
-        })[2],
-        WIRE_VERSION
-    );
-    // And a frame explicitly stamped with a newer supported version but
-    // a v1 tag still reads.
-    let mut frame = hello_frame();
-    frame[2] = WIRE_VERSION;
-    reseal(&mut frame);
-    assert!(matches!(
-        read_message(&mut frame.as_slice()).unwrap(),
-        Some(Message::Hello { .. })
-    ));
-}
-
-#[test]
 fn back_to_back_frames_parse_in_order_and_eof_is_clean() {
     let mut stream = Vec::new();
     let chunk: Box<[f32]> = (0..256).map(|i| i as f32 * 0.5).collect();
@@ -370,6 +297,77 @@ fn trace_dump_frame() -> Vec<u8> {
     })
 }
 
+/// A health snapshot with `rules`, `transitions` and `rows` entries of
+/// each list (so a test can put the count it patches first).
+fn health(rules: usize, transitions: usize, rows: usize) -> HealthSnapshot {
+    HealthSnapshot {
+        enabled: true,
+        verdict: HealthVerdict::Degraded,
+        ticks: 240,
+        transitions_total: 9,
+        rules: (0..rules)
+            .map(|i| RuleEval {
+                name: format!("rule_{i}"),
+                verdict: HealthVerdict::Degraded,
+                fast_burn: 1.5,
+                slow_burn: 0.75,
+            })
+            .collect(),
+        transitions: (0..transitions as u64)
+            .map(|tick| HealthTransition {
+                tick,
+                rule: "overall".into(),
+                from: HealthVerdict::Ok,
+                to: HealthVerdict::Degraded,
+                fast_burn: 1.5,
+                slow_burn: 0.75,
+            })
+            .collect(),
+        series: (0..rows as u64)
+            .map(|seq| SeriesSample {
+                seq,
+                words: vec![seq; 6],
+            })
+            .collect(),
+    }
+}
+
+fn health_frame(health: HealthSnapshot) -> Vec<u8> {
+    encode_message(&Message::HealthSnapshot {
+        health: Box::new(health),
+    })
+}
+
+fn session_row(session: u64) -> SessionObsRow {
+    SessionObsRow {
+        session,
+        patient: "chb07".into(),
+        shard: 1,
+        generation: 2,
+        stats: SessionStats {
+            frames_in: 4096,
+            frames_processed: 4000,
+            ..SessionStats::default()
+        },
+        scores: SessionScores {
+            latency: 9_001,
+            saturation: 77,
+            discard: 0,
+        },
+    }
+}
+
+fn session_stats_frame() -> Vec<u8> {
+    encode_message(&Message::SessionStatsSnapshot {
+        sessions: Box::new(SessionObsSnapshot {
+            enabled: true,
+            ticks: 9_120,
+            top: vec![session_row(41), session_row(7)],
+            lookup: Some(session_row(3)),
+        }),
+    })
+}
+
 #[test]
 fn v3_introspection_frames_survive_truncation_like_v1() {
     // The v1/v2 truncation guarantee holds for the new introspection
@@ -380,6 +378,8 @@ fn v3_introspection_frames_survive_truncation_like_v1() {
         encode_message(&Message::StatsSnapshot {
             stats: Box::default(),
         }),
+        health_frame(health(2, 2, 2)),
+        session_stats_frame(),
     ] {
         for cut in 1..frame.len() {
             let err = read_message(&mut &frame[..cut]).unwrap_err();
@@ -394,15 +394,20 @@ fn v3_introspection_frames_survive_truncation_like_v1() {
 
 #[test]
 fn v3_introspection_frames_detect_bit_flips_like_v1() {
-    let frame = trace_dump_frame();
-    for position in [3, 5, HEADER_LEN + 2, frame.len() - CHECKSUM_LEN - 1] {
-        let mut corrupted = frame.clone();
-        corrupted[position] ^= 0x40;
-        let err = read_message(&mut corrupted.as_slice()).unwrap_err();
-        assert!(
-            matches!(err, ServeError::Corrupt { .. }),
-            "flip at {position}: {err}"
-        );
+    for frame in [
+        trace_dump_frame(),
+        health_frame(health(2, 2, 2)),
+        session_stats_frame(),
+    ] {
+        for position in [3, 5, HEADER_LEN + 2, frame.len() - CHECKSUM_LEN - 1] {
+            let mut corrupted = frame.clone();
+            corrupted[position] ^= 0x40;
+            let err = read_message(&mut corrupted.as_slice()).unwrap_err();
+            assert!(
+                matches!(err, ServeError::Corrupt { .. }),
+                "flip at {position}: {err}"
+            );
+        }
     }
 }
 
@@ -423,20 +428,40 @@ fn hostile_span_count_is_rejected_without_allocating() {
 }
 
 #[test]
-fn future_versioned_introspection_frames_hit_the_version_gate_first() {
-    // Same guarantee the Hello frame has: a frame stamped beyond
-    // WIRE_VERSION is a version mismatch (the upgrade-me signal), fired
-    // before the checksum is even verified.
-    let mut frame = encode_message(&Message::SessionStatsRequest { session: None });
-    assert_eq!(frame[2], WIRE_VERSION, "SessionStatsRequest is stamped v5");
-    frame[2] = WIRE_VERSION + 1;
-    // Deliberately not resealed: the version gate must fire first.
+fn hostile_snapshot_counts_are_rejected_without_allocating() {
+    // Health payload: u8 enabled, u8 verdict, u64 ticks, u64 transitions
+    // total (18 bytes), then the rule, transition and series-row counts
+    // — each list empty unless the fixture puts it first. A series row
+    // is u64 seq, then its word count. The session payload's top-row
+    // count follows u8 enabled and u64 ticks.
+    for (what, frame, offset) in [
+        ("rule count", health_frame(health(1, 0, 0)), 18),
+        ("transition count", health_frame(health(0, 1, 0)), 22),
+        ("series-row count", health_frame(health(0, 0, 1)), 26),
+        ("word count", health_frame(health(0, 0, 1)), 30 + 8),
+        ("top-row count", session_stats_frame(), 9),
+    ] {
+        let mut frame = frame;
+        let at = HEADER_LEN + offset;
+        assert_ne!(frame[at..at + 4], [0; 4], "{what}: patching a real count");
+        frame[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        reseal(&mut frame);
+        let err = read_message(&mut frame.as_slice()).unwrap_err();
+        assert!(
+            matches!(err, ServeError::Corrupt { ref reason } if reason.contains("shorter")),
+            "{what}: unexpected error: {err}"
+        );
+    }
+}
+
+#[test]
+fn unknown_verdict_byte_is_corrupt() {
+    let mut frame = health_frame(health(0, 0, 0));
+    frame[HEADER_LEN + 1] = 9;
+    reseal(&mut frame);
     let err = read_message(&mut frame.as_slice()).unwrap_err();
     assert!(
-        matches!(
-            err,
-            ServeError::VersionMismatch { found, .. } if found == (WIRE_VERSION + 1) as u64
-        ),
+        matches!(err, ServeError::Corrupt { ref reason } if reason.contains("verdict")),
         "unexpected error: {err}"
     );
 }

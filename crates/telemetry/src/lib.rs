@@ -1,17 +1,17 @@
 //! # laelaps-telemetry
 //!
 //! Allocation-free, lock-cheap observability primitives for the Laelaps
-//! serving stack: atomic [`Counter`]s and [`Gauge`]s, log2-sub-bucketed
-//! latency [`Histogram`]s with quantile estimation and exact merge,
-//! windowed [`RateMeter`]s, a [`StageTimer`] API that attributes
-//! wall time to named hot-path [`Stage`]s, and a per-chunk causal
-//! tracing layer ([`Tracer`]) backed by a wait-free [`FlightRecorder`]
-//! ring with tail-based pinning of anomalous traces, a fixed-width
-//! metric time-series ring ([`SeriesRing`]) that health evaluators fill
-//! with periodic windowed deltas of all of the above, and a per-session
-//! layer — a compact [`SessionCell`] accounting cell plus a
-//! fixed-capacity [`TopK`] heavy-hitter sketch — that keeps per-session
-//! observability memory independent of the session count.
+//! serving stack: atomic [`Counter`]s, log2-sub-bucketed latency
+//! [`Histogram`]s with quantile estimation and exact merge, windowed
+//! [`RateMeter`]s, a [`StageTimer`] API that attributes wall time to
+//! named hot-path [`Stage`]s, a per-chunk causal tracing layer
+//! ([`Tracer`]) backed by a wait-free [`FlightRecorder`] ring with
+//! tail-based pinning of anomalous traces, and a per-session layer — a
+//! compact [`SessionCell`] accounting cell plus a fixed-capacity
+//! [`TopK`] heavy-hitter sketch — that keeps per-session observability
+//! memory independent of the session count. The recorder and the sketch
+//! are arrays of one seqlocked slot type (`seqlock`), so the lock-free
+//! read/write protocol exists once.
 //!
 //! Every primitive is safe to hammer from many threads at once: all
 //! mutation is `Relaxed` atomics, nothing blocks, and recording a sample
@@ -59,7 +59,7 @@ mod cell;
 mod hist;
 mod rate;
 mod recorder;
-mod series;
+mod seqlock;
 mod stage;
 mod topk;
 mod trace;
@@ -68,7 +68,6 @@ pub use cell::SessionCell;
 pub use hist::{Histogram, HistogramSnapshot};
 pub use rate::RateMeter;
 pub use recorder::{FlightRecorder, RecorderEntry, RECORD_WORDS};
-pub use series::{SeriesRing, SeriesSample};
 pub use stage::{Stage, StageSet, StageTimer, StagesSnapshot};
 pub use topk::{TopK, TopKEntry};
 pub use trace::{
@@ -76,7 +75,7 @@ pub use trace::{
     TraceSnapshot, Tracer,
 };
 
-use laelaps_check::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use laelaps_check::sync::atomic::{AtomicU64, Ordering};
 
 /// Configuration of a telemetry surface (see [`StageSet::new`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -130,57 +129,15 @@ impl Counter {
     }
 }
 
-/// An atomic gauge: a value that can move both ways (queue depths, live
-/// session counts, …).
-#[derive(Debug, Default)]
-pub struct Gauge(AtomicI64);
-
-impl Gauge {
-    /// A gauge starting at zero.
-    pub const fn new() -> Self {
-        Gauge(AtomicI64::new(0))
-    }
-
-    /// Sets the gauge.
-    #[inline]
-    pub fn set(&self, value: i64) {
-        self.0.store(value, Ordering::Relaxed);
-    }
-
-    /// Adds `n` (may be negative via [`Gauge::sub`]).
-    #[inline]
-    pub fn add(&self, n: i64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Subtracts `n`.
-    #[inline]
-    pub fn sub(&self, n: i64) {
-        self.0.fetch_sub(n, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    #[inline]
-    pub fn get(&self) -> i64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn counter_and_gauge_basics() {
+    fn counter_basics() {
         let c = Counter::new();
         c.inc();
         c.add(4);
         assert_eq!(c.get(), 5);
-        let g = Gauge::new();
-        g.add(10);
-        g.sub(3);
-        assert_eq!(g.get(), 7);
-        g.set(-2);
-        assert_eq!(g.get(), -2);
     }
 }

@@ -3,40 +3,24 @@
 //!
 //! Every completed trace span lands here (see [`crate::Tracer`]); a
 //! reader takes a best-effort snapshot at export time. The write path is
-//! wait-free — one `fetch_add` to claim a slot plus a per-slot seqlock —
-//! and never blocks or allocates, so it is safe on the serving hot path.
+//! wait-free — one `fetch_add` to claim a sequence number, whose low
+//! bits pick the slot, plus one seqlocked slot write
+//! (`crate::seqlock`, which holds the protocol and its orderings) — and
+//! never blocks or allocates, so it is safe on the serving hot path.
 //! A writer that collides with a slot still mid-write (only possible
 //! when the ring laps itself within one write) *drops its record* and
 //! counts the drop instead of waiting.
-//!
-//! # The per-slot seqlock, without fences
-//!
-//! The `laelaps_check` facade deliberately exports no `fence`, so the
-//! protocol is expressed entirely with per-operation orderings (which is
-//! also what the model checker's vector-clock visibility models):
-//!
-//! * **Writer**: claim the slot by CAS-ing its version from even `v` to
-//!   odd `v + 1` (success ordering `Acquire`, so the payload stores
-//!   below cannot be reordered above the claim); store each payload
-//!   word with `Release`; publish with a `Release` store of `v + 2`.
-//! * **Reader**: load the version with `Acquire` (`v1`; odd ⇒ skip),
-//!   load each payload word with `Acquire`, re-load the version
-//!   (`v2`); accept only if `v1 == v2`.
-//!
-//! Why a torn read cannot be accepted: payload stores are `Release` and
-//! payload loads are `Acquire`, so if any load observes a newer writer's
-//! store, that writer's earlier odd version store happens-before the
-//! load — the subsequent `v2` read then cannot observe a version older
-//! than the odd claim, so `v1 != v2` and the record is rejected. If *no*
-//! load observed a newer store, every word came from the previous
-//! complete write (whose `Release` publish `v1` synchronized with) and
-//! the read is consistent.
 
 use laelaps_check::sync::atomic::{AtomicU64, Ordering};
+
+use crate::seqlock::SeqSlot;
 
 /// Payload words per record. The tracer packs one completed span into
 /// this many `u64`s (see `crate::trace` for the layout).
 pub const RECORD_WORDS: usize = 5;
+
+/// Words per slot: the record's sequence number, then its payload.
+const SLOT_WORDS: usize = 1 + RECORD_WORDS;
 
 /// One decoded recorder entry: the global sequence number the slot held
 /// plus its payload words.
@@ -48,33 +32,13 @@ pub struct RecorderEntry {
     pub words: [u64; RECORD_WORDS],
 }
 
-/// One slot: a seqlock version word, the sequence number of the record
-/// currently held, and the payload.
-struct Slot {
-    /// Even = stable, odd = mid-write. Starts at 0 (never written —
-    /// distinguished by `seq == u64::MAX`).
-    ver: AtomicU64,
-    seq: AtomicU64,
-    words: [AtomicU64; RECORD_WORDS],
-}
-
-impl Slot {
-    fn new() -> Self {
-        Slot {
-            ver: AtomicU64::new(0),
-            seq: AtomicU64::new(u64::MAX),
-            words: [const { AtomicU64::new(0) }; RECORD_WORDS],
-        }
-    }
-}
-
 /// A fixed-capacity, overwrite-oldest, lock-free record ring.
 ///
 /// Multiple concurrent writers are supported (slots are claimed by a
 /// shared monotonic cursor); snapshots may run concurrently with writers
 /// and only ever observe complete records.
 pub struct FlightRecorder {
-    slots: Box<[Slot]>,
+    slots: Box<[SeqSlot<SLOT_WORDS>]>,
     /// `slots.len() - 1`; slot count is a power of two so `seq & mask`
     /// indexes consistently.
     mask: u64,
@@ -90,8 +54,8 @@ impl FlightRecorder {
     /// A recorder holding the most recent `capacity` records (rounded up
     /// to a power of two, minimum 2).
     pub fn new(capacity: usize) -> Self {
-        let slots: Box<[Slot]> = (0..capacity.max(2).next_power_of_two())
-            .map(|_| Slot::new())
+        let slots: Box<[SeqSlot<SLOT_WORDS>]> = (0..capacity.max(2).next_power_of_two())
+            .map(|_| SeqSlot::new())
             .collect();
         let mask = slots.len() as u64 - 1;
         FlightRecorder {
@@ -123,32 +87,11 @@ impl FlightRecorder {
     /// one write) drops this record and bumps [`FlightRecorder::dropped`].
     pub fn write(&self, words: [u64; RECORD_WORDS]) {
         let seq = self.cursor.fetch_add(1, Ordering::Relaxed);
-        let slot = &self.slots[(seq & self.mask) as usize];
-        let ver = slot.ver.load(Ordering::Relaxed);
-        // Claim: even → odd. An odd version (another writer mid-write) or
-        // a lost CAS (another writer claimed between the load and here)
-        // both mean the ring lapped itself — drop rather than wait.
-        // Success ordering is Acquire so the payload stores below cannot
-        // be reordered above the claim (a reader must never see new
-        // payload under an old even version).
-        if ver & 1 == 1
-            || slot
-                .ver
-                .compare_exchange(ver, ver + 1, Ordering::Acquire, Ordering::Relaxed)
-                .is_err()
-        {
+        let mut slot_words = [seq; SLOT_WORDS];
+        slot_words[1..].copy_from_slice(&words);
+        if !self.slots[(seq & self.mask) as usize].write(|_| slot_words) {
             self.dropped.fetch_add(1, Ordering::Relaxed);
-            return;
         }
-        // Release stores: a reader's Acquire load that observes any of
-        // these synchronizes with it, making our odd claim visible to
-        // the reader's version re-check (the no-torn-read argument in
-        // the module docs).
-        slot.seq.store(seq, Ordering::Release);
-        for (cell, &word) in slot.words.iter().zip(words.iter()) {
-            cell.store(word, Ordering::Release);
-        }
-        slot.ver.store(ver + 2, Ordering::Release);
     }
 
     /// Best-effort snapshot of every stable record, oldest first (by
@@ -157,25 +100,15 @@ impl FlightRecorder {
     /// entries between slot reads, so the result is a consistent *sample*
     /// of the ring, never a torn record.
     pub fn snapshot(&self) -> Vec<RecorderEntry> {
-        let mut out = Vec::with_capacity(self.slots.len());
-        for slot in self.slots.iter() {
-            for _attempt in 0..2 {
-                let v1 = slot.ver.load(Ordering::Acquire);
-                if v1 == 0 || v1 & 1 == 1 {
-                    continue; // never written, or mid-write
-                }
-                let seq = slot.seq.load(Ordering::Acquire);
-                let mut words = [0u64; RECORD_WORDS];
-                for (word, cell) in words.iter_mut().zip(slot.words.iter()) {
-                    *word = cell.load(Ordering::Acquire);
-                }
-                let v2 = slot.ver.load(Ordering::Acquire);
-                if v1 == v2 {
-                    out.push(RecorderEntry { seq, words });
-                    break;
-                }
-            }
-        }
+        let mut out: Vec<RecorderEntry> = self
+            .slots
+            .iter()
+            .filter_map(SeqSlot::read)
+            .map(|slot_words| RecorderEntry {
+                seq: slot_words[0],
+                words: slot_words[1..].try_into().expect("RECORD_WORDS words"),
+            })
+            .collect();
         out.sort_unstable_by_key(|entry| entry.seq);
         out
     }

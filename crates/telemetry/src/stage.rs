@@ -191,14 +191,6 @@ impl StageTimer<'_> {
             None => 0,
         }
     }
-
-    /// Elapsed microseconds so far without recording (0 when disabled).
-    #[inline]
-    pub fn elapsed_micros(&self) -> u64 {
-        self.inner
-            .map(|(_, _, start)| saturating_micros(start.elapsed()))
-            .unwrap_or(0)
-    }
 }
 
 /// Owned snapshot of a [`StageSet`]: one [`HistogramSnapshot`] per
@@ -220,20 +212,6 @@ impl StagesSnapshot {
     /// Iterates `(stage, histogram)` pairs in pipeline order.
     pub fn iter(&self) -> impl Iterator<Item = (Stage, &HistogramSnapshot)> {
         Stage::ALL.iter().map(move |&s| (s, self.get(s)))
-    }
-
-    /// Folds another snapshot in, stage by stage (exact, associative —
-    /// see [`HistogramSnapshot::merge`]).
-    pub fn merge(&mut self, other: &StagesSnapshot) {
-        self.enabled |= other.enabled;
-        for stage in Stage::ALL {
-            let merged = {
-                let mut snapshot = self.stages[stage as usize].clone();
-                snapshot.merge(other.get(stage));
-                snapshot
-            };
-            self.stages[stage as usize] = merged;
-        }
     }
 }
 

@@ -25,22 +25,21 @@
 //!
 //! ## Concurrency
 //!
-//! Each slot is a tiny seqlock (the [`FlightRecorder`] /
-//! [`SeriesRing`](crate::SeriesRing) protocol): a writer claims the
-//! slot by CAS-ing its version even→odd (`Acquire`), publishes the
-//! `(key, weight, err)` words with `Release` stores, and re-publishes
-//! the version at even+2 (`Release`). A writer that loses the claim
-//! race *drops the update* (counted in [`dropped`](TopK::dropped)) —
+//! Each slot is a seqlocked `(key, weight, err)` triple (`crate::seqlock`
+//! holds the protocol). [`add`](TopK::add) picks its target slot from a
+//! lock-free read pass, then applies the Space-Saving transition *while
+//! holding the slot's claim*, against the slot's current content — the
+//! read pass may be stale, the update never is. A writer that loses the
+//! claim *drops the update* (counted in [`dropped`](TopK::dropped)) —
 //! the sketch is an observability aid, never a blocking dependency of
-//! the hot path. Readers retry a torn slot once and otherwise skip it:
-//! a snapshot can lag, but it can never observe a torn
-//! `(key, weight, err)` triple, and a resident key's weight is
-//! monotonically non-decreasing across snapshots. Model-checked in
-//! `tests/model.rs` (`top_k_snapshot_never_observes_a_torn_entry`).
-//!
-//! [`FlightRecorder`]: crate::FlightRecorder
+//! the hot path. A snapshot can lag, but it never observes a torn
+//! triple, and a resident key's weight is monotonically non-decreasing
+//! across snapshots. Model-checked in `tests/model.rs`
+//! (`top_k_snapshot_never_observes_a_torn_entry`).
 
 use laelaps_check::sync::atomic::{AtomicU64, Ordering};
+
+use crate::seqlock::SeqSlot;
 
 /// One resident `(key, weight, err)` triple from a [`TopK::snapshot`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,32 +60,12 @@ impl TopKEntry {
     }
 }
 
-/// One seqlock-protected slot: `ver == 0` is never-written, odd is
-/// mid-write, even ≥ 2 publishes the three payload words.
-#[derive(Debug)]
-struct Slot {
-    ver: AtomicU64,
-    key: AtomicU64,
-    weight: AtomicU64,
-    err: AtomicU64,
-}
-
-impl Slot {
-    const fn new() -> Self {
-        Slot {
-            ver: AtomicU64::new(0),
-            key: AtomicU64::new(0),
-            weight: AtomicU64::new(0),
-            err: AtomicU64::new(0),
-        }
-    }
-}
-
 /// Fixed-capacity Space-Saving heavy-hitter sketch. See the module
-/// docs for the estimation guarantees and the seqlock protocol.
+/// docs for the estimation guarantees and the concurrency contract.
 #[derive(Debug)]
 pub struct TopK {
-    slots: Box<[Slot]>,
+    /// `[key, weight, err]` per slot; weight 0 marks a free slot.
+    slots: Box<[SeqSlot<3>]>,
     /// Updates abandoned because another writer held the slot claim.
     dropped: AtomicU64,
 }
@@ -96,7 +75,7 @@ impl TopK {
     pub fn new(capacity: usize) -> Self {
         let capacity = capacity.max(1);
         TopK {
-            slots: (0..capacity).map(|_| Slot::new()).collect(),
+            slots: (0..capacity).map(|_| SeqSlot::new()).collect(),
             dropped: AtomicU64::new(0),
         }
     }
@@ -120,98 +99,62 @@ impl TopK {
         if weight == 0 {
             return;
         }
-        // Read pass: find the key, or an empty slot, or the minimum.
-        // Pure loads — the write below re-validates under the claim.
+        // Read pass: find the key, or a free slot, or the minimum. A slot
+        // the read cannot see (never written, or mid-write) counts as
+        // free; the claim below settles what it really holds.
         let mut resident = None;
-        let mut empty = None;
+        let mut free = None;
         let mut min: Option<(usize, u64)> = None;
         for (idx, slot) in self.slots.iter().enumerate() {
-            let ver = slot.ver.load(Ordering::Acquire);
-            if ver == 0 {
-                if empty.is_none() {
-                    empty = Some(idx);
+            match slot.read() {
+                Some([slot_key, slot_weight, _]) if slot_weight > 0 => {
+                    if slot_key == key {
+                        resident = Some(idx);
+                        break;
+                    }
+                    if min.is_none_or(|(_, w)| slot_weight < w) {
+                        min = Some((idx, slot_weight));
+                    }
                 }
-                continue;
-            }
-            let slot_key = slot.key.load(Ordering::Acquire);
-            let slot_weight = slot.weight.load(Ordering::Acquire);
-            if slot_key == key && slot_weight > 0 {
-                resident = Some(idx);
-                break;
-            }
-            if min.is_none_or(|(_, w)| slot_weight < w) {
-                min = Some((idx, slot_weight));
+                _ => {
+                    free.get_or_insert(idx);
+                }
             }
         }
-        let target = resident.or(empty).or(min.map(|(idx, _)| idx)).unwrap_or(0);
+        let target = resident.or(free).or(min.map(|(idx, _)| idx)).unwrap_or(0);
 
-        // Claim the slot even→odd; a failed claim means another writer
-        // owns it mid-update — drop rather than wait.
-        let slot = &self.slots[target];
-        let ver = slot.ver.load(Ordering::Relaxed);
-        if ver & 1 == 1
-            || slot
-                .ver
-                .compare_exchange(ver, ver + 1, Ordering::Acquire, Ordering::Relaxed)
-                .is_err()
-        {
+        // Space-Saving transition against what the slot holds under the
+        // claim (the read pass above raced other writers and may be
+        // stale).
+        let landed = self.slots[target].write(|held| {
+            let [cur_key, cur_weight, cur_err] = held.load();
+            if cur_weight == 0 {
+                // Free slot: plain insert.
+                [key, weight, 0]
+            } else if cur_key == key {
+                // Resident: accumulate.
+                [key, cur_weight.saturating_add(weight), cur_err]
+            } else {
+                // Evict: inherit the displaced weight as the overestimate.
+                [key, cur_weight.saturating_add(weight), cur_weight]
+            }
+        });
+        if !landed {
             self.dropped.fetch_add(1, Ordering::Relaxed);
-            return;
         }
-
-        // Claimed: re-read the slot's current content (the read pass
-        // above raced other writers and may be stale) and apply the
-        // Space-Saving transition against what is actually there.
-        let cur_key = slot.key.load(Ordering::Relaxed);
-        let cur_weight = slot.weight.load(Ordering::Relaxed);
-        let (new_key, new_weight, new_err) = if cur_weight == 0 {
-            // Empty slot: plain insert.
-            (key, weight, 0)
-        } else if cur_key == key {
-            // Resident: accumulate.
-            (
-                key,
-                cur_weight.saturating_add(weight),
-                slot.err.load(Ordering::Relaxed),
-            )
-        } else {
-            // Evict: inherit the displaced weight as the overestimate.
-            (key, cur_weight.saturating_add(weight), cur_weight)
-        };
-        slot.key.store(new_key, Ordering::Release);
-        slot.weight.store(new_weight, Ordering::Release);
-        slot.err.store(new_err, Ordering::Release);
-        slot.ver.store(ver + 2, Ordering::Release);
     }
 
     /// Point-in-time view of the resident entries, heaviest first.
     /// Never blocks writers: a slot torn mid-update is retried once and
     /// then skipped, so the snapshot may lag but never tears.
     pub fn snapshot(&self) -> Vec<TopKEntry> {
-        let mut out = Vec::with_capacity(self.slots.len());
-        for slot in self.slots.iter() {
-            for _attempt in 0..2 {
-                let v1 = slot.ver.load(Ordering::Acquire);
-                if v1 == 0 {
-                    break; // never written
-                }
-                if v1 & 1 == 1 {
-                    continue; // mid-write: retry once
-                }
-                let entry = TopKEntry {
-                    key: slot.key.load(Ordering::Acquire),
-                    weight: slot.weight.load(Ordering::Acquire),
-                    err: slot.err.load(Ordering::Acquire),
-                };
-                let v2 = slot.ver.load(Ordering::Acquire);
-                if v1 == v2 {
-                    if entry.weight > 0 {
-                        out.push(entry);
-                    }
-                    break;
-                }
-            }
-        }
+        let mut out: Vec<TopKEntry> = self
+            .slots
+            .iter()
+            .filter_map(SeqSlot::read)
+            .filter(|&[_, weight, _]| weight > 0)
+            .map(|[key, weight, err]| TopKEntry { key, weight, err })
+            .collect();
         out.sort_by(|a, b| b.weight.cmp(&a.weight).then(a.key.cmp(&b.key)));
         out
     }
@@ -219,10 +162,11 @@ impl TopK {
     /// The current minimum resident weight, or 0 while a slot is still
     /// free — the eviction threshold and the absent-key weight bound.
     pub fn min_weight(&self) -> u64 {
-        if self.snapshot().len() < self.capacity() {
+        let snapshot = self.snapshot();
+        if snapshot.len() < self.capacity() {
             return 0;
         }
-        self.snapshot().last().map(|e| e.weight).unwrap_or(0)
+        snapshot.last().map_or(0, |e| e.weight)
     }
 }
 

@@ -249,17 +249,6 @@ pub struct TraceSnapshot {
 }
 
 impl TraceSnapshot {
-    /// The spans of pinned traces only, oldest first — what a
-    /// tail-retention export surfaces. Best-effort: a pinned trace's
-    /// early spans may already be overwritten in the ring.
-    pub fn pinned_spans(&self) -> Vec<SpanRecord> {
-        self.spans
-            .iter()
-            .filter(|s| self.pinned.iter().any(|p| p.trace_id == s.trace_id))
-            .copied()
-            .collect()
-    }
-
     /// The pin reason of `trace_id`, if pinned.
     pub fn pin_reason(&self, trace_id: u64) -> Option<PinReason> {
         self.pinned
@@ -303,11 +292,6 @@ impl Tracer {
             recorder: FlightRecorder::new(capacity),
             pinned: PinSet::new(pinned),
         }
-    }
-
-    /// A disabled tracer (what a default [`TraceConfig`] builds).
-    pub fn disabled() -> Self {
-        Tracer::new(&TraceConfig::default())
     }
 
     /// Whether tracing is on.
@@ -435,7 +419,7 @@ mod tests {
 
     #[test]
     fn disabled_tracer_is_inert() {
-        let tracer = Tracer::disabled();
+        let tracer = Tracer::new(&TraceConfig::default());
         assert!(!tracer.enabled());
         assert!(tracer.begin().is_none());
         let snapshot = tracer.snapshot();
@@ -495,7 +479,11 @@ mod tests {
             snapshot.pin_reason(slow.id.get()),
             Some(PinReason::SlowStage)
         );
-        let pinned = snapshot.pinned_spans();
+        let pinned: Vec<_> = snapshot
+            .spans
+            .iter()
+            .filter(|s| snapshot.pin_reason(s.trace_id).is_some())
+            .collect();
         assert_eq!(pinned.len(), 1);
         assert_eq!(pinned[0].trace_id, slow.id.get());
     }

@@ -8,14 +8,14 @@
 //!   must never let the reader accept a torn record — every accepted
 //!   entry is exactly one writer's payload, and the drop accounting
 //!   stays consistent.
-//! * The series ring: the same seqlock invariant for the health
-//!   time-series — a snapshot racing pushers never accepts a torn
-//!   sample row.
 //! * The heavy-hitter sketch: racing updaters and a concurrent
 //!   snapshotter must never tear an entry — every accepted `(key,
 //!   weight, err)` triple satisfies the Space-Saving bounds, slot
 //!   weights are monotone, and adds that lose a claim race are counted
 //!   dropped, never silently lost.
+//!
+//! The recorder and the sketch share one seqlocked slot type, so these
+//! two tests are also what pins that slot's protocol.
 //!
 //! Compiled (and meaningful) only under `RUSTFLAGS="--cfg laelaps_check"`.
 #![cfg(laelaps_check)]
@@ -23,7 +23,7 @@
 use std::sync::Arc;
 
 use laelaps_check::{thread, Checker};
-use laelaps_telemetry::{FlightRecorder, Histogram, SeriesRing, TopK, RECORD_WORDS};
+use laelaps_telemetry::{FlightRecorder, Histogram, TopK, RECORD_WORDS};
 
 #[test]
 fn histogram_accounting_survives_racing_pushers_and_samplers() {
@@ -113,63 +113,6 @@ fn flight_recorder_snapshot_never_observes_a_torn_record() {
                 assert!(
                     entry.words.iter().all(|&w| w == entry.words[0]),
                     "torn record after join: {entry:?}"
-                );
-            }
-        });
-}
-
-#[test]
-fn series_ring_snapshot_never_observes_a_torn_sample() {
-    // The health evaluator is a single periodic pusher in production,
-    // but the ring's contract is the recorder's (multi-pusher seqlock),
-    // so the model explores the stronger claim: two pushers racing a
-    // reader on a capacity-2 ring. Each pusher's row has all three
-    // words equal to a pusher-unique value, so any accepted mix of two
-    // rows is detectable in a single sample.
-    Checker::new()
-        .dfs_budget(4_000)
-        .random_iters(25)
-        .max_steps(50_000)
-        .check(|| {
-            let ring = Arc::new(SeriesRing::new(2, 3));
-            let (p1, p2) = (Arc::clone(&ring), Arc::clone(&ring));
-            let t1 = thread::spawn(move || {
-                p1.push(&[11; 3]);
-                p1.push(&[22; 3]);
-            });
-            let t2 = thread::spawn(move || p2.push(&[33; 3]));
-            // Mid-race snapshot: partial is fine, torn is not.
-            for sample in ring.snapshot() {
-                assert!(
-                    sample.words.iter().all(|&w| w == sample.words[0]),
-                    "torn sample mid-race: {sample:?}"
-                );
-                assert!(
-                    [11, 22, 33].contains(&sample.words[0]),
-                    "invented row: {sample:?}"
-                );
-                assert!(
-                    sample.seq < 3,
-                    "sequence beyond what was claimed: {sample:?}"
-                );
-            }
-            t1.join().unwrap();
-            t2.join().unwrap();
-            // Joined: every claim accounted for, surviving rows whole
-            // with unique sequence numbers.
-            assert_eq!(ring.recorded(), 3, "every push claimed a sequence");
-            let end = ring.snapshot();
-            assert!(
-                end.len() as u64 + ring.dropped() <= 3,
-                "samples + drops exceed claims: {end:?}"
-            );
-            let mut seqs: Vec<u64> = end.iter().map(|s| s.seq).collect();
-            seqs.dedup();
-            assert_eq!(seqs.len(), end.len(), "duplicate sequence numbers: {end:?}");
-            for sample in &end {
-                assert!(
-                    sample.words.iter().all(|&w| w == sample.words[0]),
-                    "torn sample after join: {sample:?}"
                 );
             }
         });
