@@ -4,8 +4,9 @@
 //!
 //! * [`parallel_map`] — a one-shot, order-preserving parallel map used by
 //!   the experiment harness (one item ≈ one patient);
-//! * [`ShardedPool`] — persistent worker threads, one per shard, used by
-//!   `laelaps-serve` to drain per-session frame queues continuously.
+//! * [`ShardedPool`] — persistent worker threads, one per shard, each
+//!   woken by its own signal; `laelaps-serve` wakes a shard's worker when
+//!   it queues work for one of that shard's sessions.
 //!   The pool itself lives in [`crate::pool`] (on the `laelaps_check`
 //!   facade so its wakeup protocol is model-checkable) and is re-exported
 //!   here for compatibility.

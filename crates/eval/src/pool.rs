@@ -1,12 +1,16 @@
-//! Persistent sharded worker pool with race-free wakeups.
+//! Persistent sharded worker pool with race-free, per-shard wakeups.
 //!
 //! Extracted from [`crate::parallel`] so the pool's concurrency protocol
-//! — the epoch-snapshot/recheck dance that makes [`PoolWaker::notify`]
-//! race-free — lives on the `laelaps_check::sync` facade and can be
-//! model-checked (`crates/eval/tests/model.rs` explores the protocol's
-//! interleavings under `RUSTFLAGS="--cfg laelaps_check"`). The one-shot
+//! — the epoch-snapshot/recheck dance that makes
+//! [`PoolWaker::notify_shard`] race-free — lives on the
+//! `laelaps_check::sync` facade and can be model-checked
+//! (`crates/eval/tests/model.rs` explores the protocol's interleavings
+//! under `RUSTFLAGS="--cfg laelaps_check"`). The one-shot
 //! [`crate::parallel::parallel_map`] stays on plain `std` (scoped
 //! threads, no lock-free protocol to check).
+//!
+//! Each shard has its own wake signal, so a producer that enqueued work
+//! for one shard wakes that shard's worker and no other.
 //!
 //! Invariants and ordering rationale are catalogued in `CONCURRENCY.md`
 //! at the repository root.
@@ -19,19 +23,25 @@ use laelaps_check::thread::{Builder, JoinHandle};
 
 /// How long an idle [`ShardedPool`] worker sleeps before re-polling.
 ///
-/// This is a safety net only: producers wake workers explicitly through
-/// [`ShardedPool::notify`] / [`PoolWaker::notify`], and the epoch counter
-/// makes those wakeups race-free, so the poll can be long — an idle fleet
-/// wakes once a second per shard instead of 500×/s.
+/// This is a safety net only: producers wake a shard's worker explicitly
+/// through [`ShardedPool::notify_shard`] / [`PoolWaker::notify_shard`],
+/// and the per-shard epoch makes those wakeups race-free, so the poll can
+/// be long — an idle fleet wakes once a second per shard instead of
+/// 500×/s. A timed-out worker reruns its closure, which finds only the
+/// work it can see: `laelaps-serve`'s closure drains its shard's ready
+/// queue, so a session that was given work without being scheduled is
+/// not found this way.
 pub const IDLE_POLL: Duration = Duration::from_secs(1);
 
 /// Persistent worker threads, one per shard.
 ///
 /// Worker `i` repeatedly invokes the pool closure with shard index `i`.
 /// The closure returns `true` when it found work; a worker whose closure
-/// found nothing parks briefly (or until [`ShardedPool::notify`]) before
-/// retrying, so an idle pool costs almost nothing while a busy one runs
-/// hot. Dropping the pool shuts the workers down and joins them.
+/// found nothing parks on its shard's signal until
+/// [`ShardedPool::notify_shard`] (or [`ShardedPool::notify`], or the
+/// [`IDLE_POLL`] timeout) before retrying, so an idle pool costs almost
+/// nothing while a busy one runs hot. Dropping the pool shuts the workers
+/// down and joins them.
 ///
 /// # Examples
 ///
@@ -61,19 +71,35 @@ pub struct ShardedPool {
 
 struct PoolShared {
     shutdown: AtomicBool,
-    // Notification epoch: bumped under the lock by every notify(). A worker
-    // snapshots it before looking for work; if it moved by the time the
-    // worker is about to wait, a notification landed mid-scan and the
-    // worker rescans instead of sleeping — no wakeup can be lost.
+    /// One wake signal per shard, indexed like the workers.
+    signals: Box<[ShardSignal]>,
+}
+
+/// One shard's wake signal.
+struct ShardSignal {
+    // Notification epoch: bumped under the lock by every notify of this
+    // shard. Its worker snapshots it before looking for work; if it moved
+    // by the time the worker is about to wait, a notification landed
+    // mid-scan and the worker rescans instead of sleeping — no wakeup can
+    // be lost.
     epoch: Mutex<u64>,
     wake: Condvar,
 }
 
-impl PoolShared {
+impl ShardSignal {
     fn notify(&self) {
         let mut epoch = self.epoch.lock().expect("pool lock poisoned");
         *epoch = epoch.wrapping_add(1);
-        self.wake.notify_all();
+        // Only this shard's worker ever waits here.
+        self.wake.notify_one();
+    }
+}
+
+impl PoolShared {
+    fn notify_all_shards(&self) {
+        for signal in self.signals.iter() {
+            signal.notify();
+        }
     }
 }
 
@@ -89,9 +115,14 @@ pub struct PoolWaker {
 }
 
 impl PoolWaker {
-    /// Wakes all parked workers (call after enqueueing new work).
-    pub fn notify(&self) {
-        self.shared.notify();
+    /// Wakes shard `shard`'s worker only (call after enqueueing work for
+    /// that shard).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shard` is not below the pool's shard count.
+    pub fn notify_shard(&self, shard: usize) {
+        self.shared.signals[shard].notify();
     }
 }
 
@@ -114,8 +145,12 @@ impl ShardedPool {
         assert!(shards > 0, "a pool needs at least one shard");
         let shared = Arc::new(PoolShared {
             shutdown: AtomicBool::new(false),
-            epoch: Mutex::new(0),
-            wake: Condvar::new(),
+            signals: (0..shards)
+                .map(|_| ShardSignal {
+                    epoch: Mutex::new(0),
+                    wake: Condvar::new(),
+                })
+                .collect(),
         });
         let run = Arc::new(run);
         let workers = (0..shards)
@@ -125,20 +160,21 @@ impl ShardedPool {
                 Builder::new()
                     .name(format!("laelaps-shard-{shard}"))
                     .spawn(move || {
+                        let signal = &shared.signals[shard];
                         while !shared.shutdown.load(Ordering::Acquire) {
                             // Snapshot the epoch *before* scanning for work:
-                            // a notify() that lands during the scan moves it,
+                            // a notify that lands during the scan moves it,
                             // and the re-check under the lock below turns
                             // what would be a lost wakeup into a rescan.
-                            let seen = *shared.epoch.lock().expect("pool lock poisoned");
+                            let seen = *signal.epoch.lock().expect("pool lock poisoned");
                             let worked = run(shard);
                             if !worked {
-                                let guard = shared.epoch.lock().expect("pool lock poisoned");
+                                let guard = signal.epoch.lock().expect("pool lock poisoned");
                                 if shared.shutdown.load(Ordering::Acquire) {
                                     break;
                                 }
                                 if *guard == seen {
-                                    let _ = shared
+                                    let _ = signal
                                         .wake
                                         .wait_timeout(guard, IDLE_POLL)
                                         .expect("pool lock poisoned");
@@ -157,9 +193,19 @@ impl ShardedPool {
         self.workers.len()
     }
 
-    /// Wakes all parked workers (call after enqueueing new work).
+    /// Wakes every shard's worker.
     pub fn notify(&self) {
-        self.shared.notify();
+        self.shared.notify_all_shards();
+    }
+
+    /// Wakes shard `shard`'s worker only (call after enqueueing work for
+    /// that shard).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shard >= self.shards()`.
+    pub fn notify_shard(&self, shard: usize) {
+        self.shared.signals[shard].notify();
     }
 
     /// A cloneable [`PoolWaker`] for producers that enqueue work for this
@@ -245,7 +291,7 @@ mod tests {
         std::thread::sleep(Duration::from_millis(30));
         queue.lock().unwrap().push(7);
         let start = std::time::Instant::now();
-        waker.notify();
+        waker.notify_shard(1);
         while drained.load(std::sync::atomic::Ordering::Relaxed) == 0 {
             assert!(
                 start.elapsed() < IDLE_POLL / 2,
@@ -256,7 +302,45 @@ mod tests {
         }
         drop(pool);
         // Notifying after shutdown is a harmless no-op.
-        waker.notify();
+        waker.notify_shard(1);
+    }
+
+    #[test]
+    fn notify_shard_runs_that_shard_only() {
+        let counts: Arc<Vec<AtomicU64>> = Arc::new((0..2).map(|_| AtomicU64::new(0)).collect());
+        let start = std::time::Instant::now();
+        let pool = {
+            let counts = Arc::clone(&counts);
+            ShardedPool::new(2, move |shard| {
+                counts[shard].fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                false
+            })
+        };
+        let count = |shard: usize| counts[shard].load(std::sync::atomic::Ordering::Relaxed);
+        // Each worker scans once at startup, then parks on its own signal.
+        std::thread::sleep(Duration::from_millis(30));
+        let before = [count(0), count(1)];
+        assert!(before.iter().all(|&n| n >= 1), "every worker scans once");
+        let waker = pool.waker();
+        let notifies: [&dyn Fn(); 2] = [&|| pool.notify_shard(1), &|| waker.notify_shard(1)];
+        for notify in notifies {
+            let seen = count(1);
+            notify();
+            while count(1) == seen {
+                assert!(
+                    start.elapsed() < IDLE_POLL / 2,
+                    "the notified shard never ran"
+                );
+                std::thread::sleep(Duration::from_micros(100));
+            }
+        }
+        // Give a wrongly woken shard 0 time to show up in its count.
+        std::thread::sleep(Duration::from_millis(20));
+        // Past the idle poll, shard 0 may have run on its timeout.
+        if start.elapsed() < IDLE_POLL {
+            assert_eq!(count(0), before[0], "notify_shard(1) woke shard 0");
+        }
+        drop(pool);
     }
 
     #[test]

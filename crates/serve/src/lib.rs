@@ -25,10 +25,13 @@
 //!   its handle keeps pushing.
 //!
 //!   **Hot path.** Each shard worker has one drain path: per pass it
-//!   walks its sessions and runs each one's queued chunks through
+//!   takes its shard's [`ready`] queue — the sessions given work since
+//!   their last drain — and runs each one's queued chunks through
 //!   [`laelaps_core::Detector::push_frame`] (encode → classify →
 //!   postprocess, one window at a time), polling for a staged hot-swap
-//!   between chunks. Encode is nearly all of a frame's cost; the two
+//!   between chunks. A push, a close, a dropped handle or a swap request
+//!   queues its session and wakes only that session's worker; a worker
+//!   whose queue is empty sleeps, so an idle session costs nothing. Encode is nearly all of a frame's cost; the two
 //!   Hamming distances of classify are a fraction of a percent, so
 //!   batching windows across sessions to amortise them does not pay.
 //! * **Network ingest** ([`net::IngestServer`] / [`net::IngestClient`]) —
@@ -169,7 +172,8 @@
 //!   zero extra hot-path clock reads.
 //!
 //! The lock-free structures in this crate ([`ring`], the swap gate in
-//! [`swapgate`], the progress/waker protocols) are catalogued — with
+//! [`swapgate`], the [`ready`] queues, the progress/waker protocols) are
+//! catalogued — with
 //! their invariants, chosen memory orderings, and the rationale for each
 //! — in `CONCURRENCY.md` at the repository root. They are written
 //! against the `laelaps_check::sync` facade, so building the test suite
@@ -192,6 +196,7 @@ pub mod error;
 pub mod health;
 pub mod net;
 pub mod persist;
+pub mod ready;
 pub mod ring;
 pub mod service;
 pub mod session;

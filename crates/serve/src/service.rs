@@ -18,6 +18,7 @@ use crate::error::Result;
 use crate::health::SessionHealthSample;
 use crate::health::{HealthConfig, HealthInput, HealthSnapshot, HealthState, HealthTransition};
 use crate::persist::ModelRegistry;
+use crate::ready::{ReadyFlag, ReadyQueue};
 use crate::ring;
 use crate::session::{SessionCore, SessionHandle, SessionId, WorkerState};
 use crate::stats::{
@@ -75,7 +76,10 @@ pub enum ServiceEvent {
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Worker threads (= shards). Each session is pinned to one shard, so
-    /// its frames are always processed in order by a single worker.
+    /// its frames are always processed in order by a single worker. A
+    /// worker drains only the sessions on its shard's ready queue and
+    /// sleeps while that queue is empty; pushing to a session wakes its
+    /// own shard's worker and no other.
     pub workers: usize,
     /// Per-session queue capacity, in chunks. With the example chunking
     /// of 256 frames (0.5 s at 512 Hz) the default buffers ~32 s of
@@ -190,7 +194,12 @@ impl std::fmt::Debug for Progress {
 }
 
 struct ServiceInner {
+    /// Every registered session, per shard: for stats, lookup and
+    /// retirement. Workers drain from `ready`, not from here.
     shards: Vec<Mutex<Vec<Arc<SessionCore>>>>,
+    /// One ready queue per shard (same indexing as `shards`): the
+    /// sessions that have been given work since their last drain.
+    ready: Vec<Arc<ReadyQueue<SessionCore>>>,
     bus: Mutex<VecDeque<ServiceEvent>>,
     retired: Mutex<RetiredStats>,
     next_id: AtomicU64,
@@ -210,29 +219,26 @@ struct ServiceInner {
 }
 
 impl ServiceInner {
-    /// One pass over a shard: drain every session through
-    /// [`SessionCore::drain`], retire finished ones. Returns `true` if any
-    /// session had work.
+    /// One pass over a shard's ready queue: drain each scheduled session
+    /// through [`SessionCore::drain`], then retire the ones that finished
+    /// in this pass. Returns `true` if any session had work.
     fn drain_shard(&self, shard: usize) -> bool {
         if self.wedged[shard].load(Ordering::Relaxed) {
             // Wedged by the test hook: pretend the worker is stuck —
-            // no drain, no progress bump, no heartbeat.
+            // no drain, no progress bump, no heartbeat. Scheduled
+            // sessions stay queued until the unwedge wakes the worker.
             return false;
         }
         // The shared pass counter: the tick domain sessions stamp into
         // `last_drain_tick` on a productive drain. One Relaxed
         // fetch_add per pass; never a clock read.
         self.telemetry.drain_ticks.inc();
-        let sessions: Vec<Arc<SessionCore>> = {
-            let guard = self.shards[shard].lock().expect("shard lock poisoned");
-            guard.clone()
-        };
-        let mut worked = false;
         let mut any_done = false;
-        for session in &sessions {
-            worked |= session.drain(&self.bus);
+        let worked = self.ready[shard].pass(|session| {
+            let drained = session.drain(&self.bus);
             any_done |= session.done.load(Ordering::Acquire);
-        }
+            drained
+        });
         if any_done {
             // Lock order retired → shard, same as stats(), so a session is
             // always either in its shard list or in the retired totals —
@@ -331,7 +337,9 @@ impl ServiceInner {
             retired.totals.frames_in,
             retired.totals.frames_processed,
             retired.totals.frames_dropped,
-            retired.totals.frames_refused,
+            // Refusals can outlive a session's retirement; count them
+            // service-wide.
+            self.telemetry.frames_refused.get(),
             retired.totals.frames_discarded,
         ];
         let mut samples: Vec<SessionHealthSample> = Vec::new();
@@ -340,7 +348,6 @@ impl ServiceInner {
             frames[0] += s.frames_in;
             frames[1] += s.frames_processed;
             frames[2] += s.frames_dropped;
-            frames[3] += s.frames_refused;
             frames[4] += s.frames_discarded;
             samples.push(SessionHealthSample {
                 session: core.id,
@@ -397,11 +404,14 @@ fn run_health_evaluator(health: Arc<HealthState>, inner: Weak<ServiceInner>) {
 /// A fleet of concurrent per-patient streaming detectors.
 ///
 /// Each opened session gets a bounded frame queue and is pinned to one
-/// worker shard; workers drain queues continuously, emitting
+/// worker shard. Whatever gives a session work (a push, a close, a
+/// hot-swap request) puts it on its shard's ready queue and wakes that
+/// shard's worker, which drains only the queued sessions, emitting
 /// [`laelaps_core::DetectorEvent`]s into per-session outboxes and alarms
-/// onto a service-wide bus. Within a session, output order and content
-/// are **identical** to running a bare [`Detector`] over the same frames
-/// — concurrency never changes results, only wall time.
+/// onto a service-wide bus, and sleeps when its queue is empty. Within a
+/// session, output order and content are **identical** to running a bare
+/// [`Detector`] over the same frames — concurrency never changes results,
+/// only wall time.
 ///
 /// # Examples
 ///
@@ -471,6 +481,7 @@ impl DetectionService {
             .then(|| Arc::new(HealthState::new(config.health.clone(), workers)));
         let inner = Arc::new(ServiceInner {
             shards: (0..workers).map(|_| Mutex::new(Vec::new())).collect(),
+            ready: (0..workers).map(|_| Arc::new(ReadyQueue::new())).collect(),
             bus: Mutex::new(VecDeque::new()),
             retired: Mutex::new(RetiredStats::default()),
             next_id: AtomicU64::new(0),
@@ -543,16 +554,18 @@ impl DetectionService {
             failed_flag: Default::default(),
             done: Default::default(),
             wedged: Default::default(),
+            scheduled: ReadyFlag::new(),
         });
+        // A new session has no work yet, so no worker needs waking.
         self.inner.shards[shard]
             .lock()
             .expect("shard lock poisoned")
             .push(Arc::clone(&core));
-        self.pool.notify();
         Ok(SessionHandle {
             core,
             tx,
             closed: false,
+            ready: Arc::clone(&self.inner.ready[shard]),
             waker: self.pool.waker(),
             progress: Arc::clone(&self.inner.progress[shard]),
         })
@@ -591,9 +604,10 @@ impl DetectionService {
     /// Only frames pushed (and swaps requested) *before* the call are
     /// guaranteed; concurrent pushers extend the wait. Waits shard by
     /// shard on that shard's own progress condvar, so flushing never
-    /// subscribes to (or causes) wakeups on unrelated shards.
+    /// subscribes to (or causes) wakeups on unrelated shards. It wakes no
+    /// worker either: every push and swap request already scheduled its
+    /// session.
     pub fn flush(&self) {
-        self.pool.notify();
         for shard in 0..self.inner.shards.len() {
             loop {
                 // Snapshot the progress generation *before* checking, so
@@ -693,7 +707,9 @@ impl DetectionService {
             .find_session(session)
             .ok_or(crate::ServeError::UnknownSession { session })?;
         core.request_swap(model)?;
-        self.pool.notify();
+        // A caught-up session has no chunk to carry the swap in: the
+        // request itself is the work.
+        self.schedule(&core);
         Ok(())
     }
 
@@ -726,13 +742,20 @@ impl DetectionService {
         let mut swapped = 0;
         for core in self.inner.all_sessions() {
             if core.patient == patient && core.request_swap_from(model, origin, trace).is_ok() {
+                self.schedule(&core);
                 swapped += 1;
             }
         }
-        if swapped > 0 {
-            self.pool.notify();
-        }
         swapped
+    }
+
+    /// Puts `core` on its shard's ready queue and, if it was not queued
+    /// already, wakes that shard's worker. Call after making new work
+    /// visible.
+    fn schedule(&self, core: &Arc<SessionCore>) {
+        if self.inner.ready[core.shard].schedule(core) {
+            self.pool.notify_shard(core.shard);
+        }
     }
 
     /// The service's shared telemetry state (stage histograms + rate
@@ -816,9 +839,10 @@ impl DetectionService {
     pub fn debug_wedge_shard(&self, shard: usize, wedged: bool) {
         self.inner.wedged[shard].store(wedged, Ordering::Relaxed);
         if !wedged {
-            // The worker may be parked on the pool condvar with work
-            // still queued; wake it so recovery starts immediately.
-            self.pool.notify();
+            // Sessions scheduled during the wedge are still on the
+            // shard's ready queue, and their pushes woke a worker that
+            // skipped its pass; wake it so recovery starts immediately.
+            self.pool.notify_shard(shard);
         }
     }
 
@@ -834,7 +858,9 @@ impl DetectionService {
         if let Some(core) = self.inner.find_session(session) {
             core.wedged.store(wedged, Ordering::Release);
             if !wedged {
-                self.pool.notify();
+                // Passes over the wedged session left its backlog queued
+                // without re-queueing it: the unwedge is its work.
+                self.schedule(&core);
             }
         }
     }
@@ -862,6 +888,8 @@ impl DetectionService {
         drop(retired_guard);
         let shard_gauges = self.inner.shard_gauges();
         let mut stats = ServiceStats::from_entries(entries, &retired);
+        // A closed handle can refuse frames after its session retired.
+        stats.totals.frames_refused = self.inner.telemetry.frames_refused.get();
         stats.telemetry = self.inner.telemetry.snapshot();
         stats.telemetry.shards = shard_gauges;
         stats

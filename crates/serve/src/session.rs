@@ -10,6 +10,7 @@ use laelaps_core::{Detector, DetectorEvent, LaelapsConfig, PatientModel};
 use laelaps_eval::parallel::PoolWaker;
 use laelaps_telemetry::{PinReason, SpanContext, Stage, TraceHandle, TraceId};
 
+use crate::ready::{Drained, ReadyFlag, ReadyQueue, Schedulable};
 use crate::ring::{Consumer, DepthGauge, Full, Producer};
 use crate::service::{AlarmRecord, Progress, ServiceEvent};
 use crate::stats::{ServiceTelemetry, SessionCounters, SessionStats};
@@ -68,7 +69,8 @@ pub(crate) struct Chunk {
 }
 
 /// Upper bound on chunks one `drain` call processes before yielding the
-/// shard worker to the session's neighbors (fairness under overload).
+/// shard worker to the session's neighbors (fairness under overload). A
+/// session that hits the cap goes back on its shard's ready queue.
 const MAX_CHUNKS_PER_DRAIN: usize = 16;
 
 /// Why a push was rejected.
@@ -149,6 +151,15 @@ pub(crate) struct SessionCore {
     /// Read-only occupancy view of this session's ring, for the
     /// per-shard saturation gauges in the telemetry snapshot.
     pub ring_depth: DepthGauge,
+    /// Set while the session waits on its shard's ready queue (see
+    /// [`crate::ready`]).
+    pub scheduled: ReadyFlag,
+}
+
+impl Schedulable for SessionCore {
+    fn ready_flag(&self) -> &ReadyFlag {
+        &self.scheduled
+    }
 }
 
 impl std::fmt::Debug for SessionCore {
@@ -289,15 +300,16 @@ impl SessionCore {
         Ok(())
     }
 
-    /// Drains queued chunks through the detector. Returns `true` if any
-    /// work was done. Called only by the session's shard worker.
-    pub fn drain(&self, bus: &Mutex<VecDeque<ServiceEvent>>) -> bool {
+    /// Drains queued chunks through the detector, at most
+    /// `MAX_CHUNKS_PER_DRAIN` of them; [`Drained::Backlog`] means the cap
+    /// stopped the pass. Called only by the session's shard worker.
+    pub fn drain(&self, bus: &Mutex<VecDeque<ServiceEvent>>) -> Drained {
         if self.wedged.load(Ordering::Acquire) {
-            return false;
+            return Drained::Idle;
         }
         let mut state = self.worker.lock().expect("session worker lock poisoned");
         if self.done.load(Ordering::Relaxed) {
-            return false;
+            return Drained::Idle;
         }
         // Committed only if the pass did work, so idle polls never
         // pollute the drain histogram; a no-op when telemetry is off.
@@ -313,6 +325,7 @@ impl SessionCore {
         // Frames of the aborted in-flight chunk lost to an error or panic;
         // accounted as drops so frames_in == processed + dropped holds.
         let mut aborted_tail: u64 = 0;
+        let mut popped = 0;
         let newly_failed = if state.failed.is_none() {
             let electrodes = self.electrodes;
             let WorkerState { detector, rx, .. } = &mut *state;
@@ -335,6 +348,7 @@ impl SessionCore {
                             return Some(reason);
                         }
                         let Some(chunk) = rx.pop() else { break };
+                        popped += 1;
                         self.telemetry
                             .stages
                             .record_since(Stage::RingWait, chunk.queued_at);
@@ -419,7 +433,13 @@ impl SessionCore {
         if state.rx.is_finished() {
             self.done.store(true, Ordering::Release);
         }
-        worked
+        if !worked {
+            Drained::Idle
+        } else if popped == MAX_CHUNKS_PER_DRAIN && state.failed.is_none() {
+            Drained::Backlog
+        } else {
+            Drained::Worked
+        }
     }
 
     /// Failure cleanup after a detector error or panic: surfaces the failure
@@ -554,13 +574,17 @@ impl SessionCore {
 
 /// The caller's half of a session: push frames, collect events.
 ///
-/// Dropping the handle closes the input stream; the worker finishes
-/// draining what was queued and then retires the session.
+/// Dropping the handle closes the input stream, like
+/// [`SessionHandle::close`]: it wakes the session's worker, which
+/// finishes draining what was queued and then retires the session.
 #[derive(Debug)]
 pub struct SessionHandle {
     pub(crate) core: Arc<SessionCore>,
     pub(crate) tx: Producer<Chunk>,
     pub(crate) closed: bool,
+    /// The ready queue of the session's shard, and the waker of the
+    /// pool whose worker drains it.
+    pub(crate) ready: Arc<ReadyQueue<SessionCore>>,
     pub(crate) waker: PoolWaker,
     pub(crate) progress: Arc<Progress>,
 }
@@ -638,11 +662,7 @@ impl SessionHandle {
                     }
                 }
                 self.core.counters.cell.record_in(frames as u64);
-                // Wake the pool: without this, a fully idle pool only
-                // discovers the chunk on its idle-poll timeout. Chunks
-                // are coarse (hundreds of frames), so one notification
-                // per accepted chunk stays off the hot path.
-                self.waker.notify();
+                self.schedule();
                 Ok(())
             }
             Err(Full(chunk)) => Err(PushError::Full(chunk.samples)),
@@ -666,10 +686,12 @@ impl SessionHandle {
                 // Closed/failed sessions skip width validation, so round
                 // down: partial-frame tails of a misshapen chunk are not
                 // whole frames to account for.
-                self.core.counters.frames_refused.fetch_add(
-                    (samples.len() / self.core.electrodes) as u64,
-                    Ordering::Relaxed,
-                );
+                let refused = (samples.len() / self.core.electrodes) as u64;
+                self.core
+                    .counters
+                    .frames_refused
+                    .fetch_add(refused, Ordering::Relaxed);
+                self.core.telemetry.frames_refused.add(refused);
                 return false;
             }
             Err(e) => panic!("{e}"),
@@ -683,7 +705,7 @@ impl SessionHandle {
         match self.tx.try_push(chunk) {
             Ok(()) => {
                 self.core.counters.cell.record_in(frames as u64);
-                self.waker.notify();
+                self.schedule();
                 true
             }
             Err(Full(_)) => {
@@ -703,6 +725,15 @@ impl SessionHandle {
                 self.core.counters.cell.record_dropped(frames as u64);
                 false
             }
+        }
+    }
+
+    /// Puts the session on its shard's ready queue and, if it was not
+    /// queued already, wakes that shard's worker. Call after making new
+    /// work visible: a pushed chunk, a closed stream.
+    fn schedule(&self) {
+        if self.ready.schedule(&self.core) {
+            self.waker.notify_shard(self.core.shard);
         }
     }
 
@@ -762,9 +793,9 @@ impl SessionHandle {
     pub fn close(&mut self) {
         self.closed = true;
         self.tx.close();
-        // Wake the pool so an idle worker observes the closed stream and
-        // retires the session now, not on its idle-poll timeout.
-        self.waker.notify();
+        // The closed stream is work too: the worker retires the session
+        // once its ring is empty, and only a scheduled session is drained.
+        self.schedule();
     }
 
     /// Whether every accepted frame has been processed.
@@ -783,6 +814,14 @@ impl SessionHandle {
         EventTap {
             core: Arc::clone(&self.core),
             progress: Arc::clone(&self.progress),
+        }
+    }
+}
+
+impl Drop for SessionHandle {
+    fn drop(&mut self) {
+        if !self.closed {
+            self.close();
         }
     }
 }
@@ -995,6 +1034,7 @@ mod tests {
             failed_flag: Default::default(),
             done: Default::default(),
             wedged: Default::default(),
+            scheduled: ReadyFlag::new(),
         };
         (core, tx)
     }
@@ -1007,7 +1047,11 @@ mod tests {
             tx.try_push(chunk(vec![0.0f32; 4 * 10])).unwrap();
             core.counters.cell.record_in(10);
         }
-        assert!(core.drain(&bus), "failing pass counts as work");
+        assert_eq!(
+            core.drain(&bus),
+            Drained::Worked,
+            "failing pass counts as work"
+        );
         assert!(core.failed_flag.load(Ordering::Acquire));
         let stats = core.counters.snapshot();
         // Every accepted frame is accounted: none processed, all 30
@@ -1021,7 +1065,11 @@ mod tests {
         // on the next pass instead of stranding in the ring.
         tx.try_push(chunk(vec![0.0f32; 4 * 5])).unwrap();
         core.counters.cell.record_in(5);
-        assert!(core.drain(&bus), "discarding latecomers counts as work");
+        assert_eq!(
+            core.drain(&bus),
+            Drained::Worked,
+            "discarding latecomers counts as work"
+        );
         assert_eq!(core.counters.snapshot().frames_discarded, 35);
         drop(tx);
         core.drain(&bus);
@@ -1063,20 +1111,26 @@ mod tests {
             failed_flag: Default::default(),
             done: Default::default(),
             wedged: Default::default(),
+            scheduled: ReadyFlag::new(),
         };
         let bus = Mutex::new(VecDeque::new());
         for _ in 0..MAX_CHUNKS_PER_DRAIN + 8 {
             tx.try_push(chunk(vec![0.0f32; 2 * 4])).unwrap();
             core.counters.cell.record_in(4);
         }
-        assert!(core.drain(&bus));
+        assert_eq!(core.drain(&bus), Drained::Backlog, "the cap stops the pass");
         assert_eq!(
             core.counters.snapshot().frames_processed,
             (MAX_CHUNKS_PER_DRAIN * 4) as u64,
             "one pass processes at most the fairness cap"
         );
         assert!(!core.is_caught_up());
-        assert!(core.drain(&bus), "second pass finishes the rest");
+        assert_eq!(
+            core.drain(&bus),
+            Drained::Worked,
+            "second pass finishes the rest"
+        );
         assert!(core.is_caught_up());
+        assert_eq!(core.drain(&bus), Drained::Idle, "nothing is left");
     }
 }

@@ -340,6 +340,11 @@ pub(crate) struct ServiceTelemetry {
     /// Shard-worker pass counter: bumped once per shard drain pass, the
     /// tick domain of [`SessionStats::last_drain_tick`]. Not wall time.
     pub drain_ticks: Counter,
+    /// Frames refused across every session, live or retired. A closed
+    /// session's handle can go on refusing after the session retired and
+    /// its counters were folded into the retired totals, so the service
+    /// totals read refusals from here.
+    pub frames_refused: Counter,
     /// The per-session heavy-hitter sketches; `None` unless
     /// [`crate::ServeConfig::sessions`] enabled the layer.
     pub session_obs: Option<SessionObs>,
@@ -357,6 +362,7 @@ impl ServiceTelemetry {
             tracer: Tracer::new(trace),
             frames: RateMeter::per_5s(),
             drain_ticks: Counter::new(),
+            frames_refused: Counter::new(),
             session_obs: SessionObs::new(sessions, workers),
         }
     }

@@ -6,8 +6,9 @@ mod common;
 
 use common::{interleave, trained_model, two_state_signal};
 use laelaps_core::Detector;
+use laelaps_eval::parallel::IDLE_POLL;
 use laelaps_ieeg::Recording;
-use laelaps_serve::{DetectionService, PushError, ServeConfig};
+use laelaps_serve::{DetectionService, PushError, ServeConfig, SessionOutput};
 
 /// The headline parity property: 10 concurrent sessions (mixed patients,
 /// mixed chunk sizes) must each produce exactly the event sequence a bare
@@ -443,4 +444,110 @@ fn finished_sessions_retire_from_the_service() {
     assert_eq!(stats.totals.frames_in, 512);
     assert!(stats.per_session.is_empty());
     let _ = handle.take_events();
+}
+
+/// Polls `done` until it holds, failing the test if that takes longer
+/// than half the pool's idle poll: a worker that was never woken only
+/// finds work on a timeout rescan, if at all.
+fn within_half_the_idle_poll(what: &str, mut done: impl FnMut() -> bool) {
+    let budget = IDLE_POLL / 2;
+    let start = std::time::Instant::now();
+    while !done() {
+        assert!(
+            start.elapsed() < budget,
+            "{what} took longer than {budget:?}"
+        );
+        std::thread::sleep(std::time::Duration::from_micros(200));
+    }
+}
+
+/// Dropping a handle closes its stream the way `close()` does, waking
+/// the worker so that it retires the session at once. The worker is
+/// parked when the handle goes, and nothing else would wake it.
+#[test]
+fn dropping_a_handle_retires_its_session_promptly() {
+    let model = trained_model(62);
+    let service = DetectionService::new(ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    });
+    let mut handle = service.open_session("P", &model).unwrap();
+    handle.try_push_chunk(vec![0.0f32; 4 * 256].into()).unwrap();
+    service.flush();
+    // Let the worker park on its empty ready queue.
+    std::thread::sleep(std::time::Duration::from_millis(50));
+    drop(handle);
+    within_half_the_idle_poll("retiring a dropped handle's session", || {
+        service.session_count() == 0
+    });
+    assert_eq!(service.stats().retired_sessions, 1);
+}
+
+/// Every path that gives a caught-up session work without a push must
+/// wake its worker itself: a swap request, `close`, dropping the handle,
+/// and un-wedging a session whose chunk arrived while it was wedged. Each
+/// trigger hits a session whose worker is parked, and no push follows.
+#[test]
+fn work_without_a_push_wakes_the_parked_worker() {
+    let model = trained_model(63);
+    let service = DetectionService::new(ServeConfig {
+        workers: 2,
+        ..ServeConfig::default()
+    });
+    let chunk = || -> Box<[f32]> { vec![0.0f32; 4 * 256].into() };
+    let park = || std::thread::sleep(std::time::Duration::from_millis(50));
+    let caught_up = || {
+        let mut handle = service.open_session("P", &model).unwrap();
+        handle.try_push_chunk(chunk()).unwrap();
+        service.flush();
+        park();
+        handle
+    };
+    let live = |id: u64| service.stats().per_session.iter().any(|e| e.session == id);
+
+    // A swap request: the staged model is the session's only work.
+    let handle = caught_up();
+    let next = std::sync::Arc::new(model.clone().with_generation(1));
+    service.swap_session_model(handle.id(), &next).unwrap();
+    let mut outputs = Vec::new();
+    within_half_the_idle_poll("applying a swap to an idle session", || {
+        outputs.extend(handle.take_outputs());
+        outputs
+            .iter()
+            .any(|o| matches!(o, SessionOutput::ModelSwapped { .. }))
+    });
+    service.flush();
+    outputs.extend(handle.take_outputs());
+    let frames_in = handle.stats().frames_in;
+    assert_eq!(
+        outputs.last(),
+        Some(&SessionOutput::ModelSwapped {
+            generation: 1,
+            at_frame: frames_in,
+        }),
+        "the swap lands after every accepted frame"
+    );
+    assert_eq!(handle.generation(), 1);
+
+    // `close`: the closed stream is the work; the session retires.
+    let mut closed = caught_up();
+    closed.close();
+    within_half_the_idle_poll("retiring a closed session", || !live(closed.id()));
+
+    // Dropping the handle does what `close` does.
+    let dropped = caught_up();
+    let dropped_id = dropped.id();
+    drop(dropped);
+    within_half_the_idle_poll("retiring a dropped session", || !live(dropped_id));
+
+    // Un-wedging: the chunk pushed during the wedge was passed over and
+    // left queued; the unwedge alone must bring the worker back to it.
+    let mut wedged = caught_up();
+    service.debug_wedge_session(wedged.id(), true);
+    wedged.try_push_chunk(chunk()).unwrap();
+    park();
+    assert!(!wedged.is_caught_up(), "a wedged session drains nothing");
+    service.debug_wedge_session(wedged.id(), false);
+    within_half_the_idle_poll("draining an unwedged session", || wedged.is_caught_up());
+    assert_eq!(wedged.stats().frames_processed, 2 * 256);
 }

@@ -1,6 +1,7 @@
 //! Model-checked concurrency tests for the serve hot path: the SPSC
-//! [`laelaps_serve::ring`] and the [`laelaps_serve::swapgate::SwapGate`]
-//! hot-swap protocol, explored across thread interleavings by
+//! [`laelaps_serve::ring`], the [`laelaps_serve::swapgate::SwapGate`]
+//! hot-swap protocol, and the [`laelaps_serve::ready`] queue that wakes
+//! shard workers, explored across thread interleavings by
 //! `laelaps-check`.
 //!
 //! Compiled (and meaningful) only under `RUSTFLAGS="--cfg laelaps_check"`;
@@ -11,8 +12,12 @@
 use std::sync::atomic::{AtomicUsize as StdAtomicUsize, Ordering as StdOrdering};
 use std::sync::Arc;
 
+use laelaps_check::sync::atomic::{AtomicBool, Ordering};
+use laelaps_check::sync::{Condvar, Mutex};
 use laelaps_check::{thread, Checker};
-use laelaps_serve::ring::{ring, ring_at, Full};
+use laelaps_eval::pool::ShardedPool;
+use laelaps_serve::ready::{Drained, ReadyFlag, ReadyQueue, Schedulable};
+use laelaps_serve::ring::{ring, ring_at, Consumer};
 use laelaps_serve::swapgate::SwapGate;
 
 fn quick() -> Checker {
@@ -241,4 +246,252 @@ fn swap_gate_latest_wins_under_racing_stages() {
         assert!(first == 1 || first == 2);
         assert_eq!(gate.take_due(u64::MAX), None, "only one value survives");
     });
+}
+
+// ---------------------------------------------------------------------------
+// Ready queue: a producer schedules after every push, one pool worker
+// drains what is scheduled.
+// ---------------------------------------------------------------------------
+
+/// Values the producer pushes per execution.
+const VALUES: u32 = 2;
+
+/// The values a worker drained, in order, and a condvar the producer
+/// blocks on until all of them arrived.
+#[derive(Default)]
+struct Tally {
+    drained: Mutex<Vec<u32>>,
+    grew: Condvar,
+}
+
+impl Tally {
+    /// Pops everything `rx` holds into the tally; returns how many. The
+    /// pops come before the tally's lock, which would otherwise order the
+    /// producer's pushes before them once the producer waits.
+    fn pop_all(&self, rx: &std::sync::Mutex<Consumer<u32>>) -> usize {
+        let mut popped = Vec::new();
+        while let Some(v) = rx.lock().unwrap().pop() {
+            popped.push(v);
+        }
+        let n = popped.len();
+        if n > 0 {
+            self.drained.lock().unwrap().extend(popped);
+            self.grew.notify_all();
+        }
+        n
+    }
+
+    /// Blocks (no timeout) until `VALUES` values were drained: a value
+    /// left in the ring with nobody scheduled to drain it deadlocks
+    /// here, and the checker reports the schedule.
+    fn wait_for_all(&self) {
+        let mut drained = self.drained.lock().unwrap();
+        while drained.len() < VALUES as usize {
+            drained = self.grew.wait(drained).unwrap();
+        }
+        assert_eq!(*drained, (0..VALUES).collect::<Vec<_>>(), "FIFO, no loss");
+    }
+}
+
+/// One way of scheduling a ring's consumer onto a worker: the real
+/// [`ReadyQueue`], or a written-out copy with one line changed.
+trait Protocol: Send + Sync + 'static {
+    fn new(rx: Consumer<u32>) -> Self;
+    /// The producer's half, after a push: `true` means wake the worker.
+    fn schedule(&self) -> bool;
+    /// One pass of the worker; `true` if it drained anything.
+    fn pass(&self, tally: &Tally) -> bool;
+}
+
+/// The ring's consumer end as a schedulable item.
+struct Inbox {
+    scheduled: ReadyFlag,
+    rx: std::sync::Mutex<Consumer<u32>>,
+}
+
+impl Schedulable for Inbox {
+    fn ready_flag(&self) -> &ReadyFlag {
+        &self.scheduled
+    }
+}
+
+/// The protocol as `laelaps_serve::ready` ships it.
+struct Shipped {
+    queue: ReadyQueue<Inbox>,
+    inbox: Arc<Inbox>,
+}
+
+impl Protocol for Shipped {
+    fn new(rx: Consumer<u32>) -> Self {
+        Shipped {
+            queue: ReadyQueue::new(),
+            inbox: Arc::new(Inbox {
+                scheduled: ReadyFlag::new(),
+                rx: std::sync::Mutex::new(rx),
+            }),
+        }
+    }
+
+    fn schedule(&self) -> bool {
+        self.queue.schedule(&self.inbox)
+    }
+
+    fn pass(&self, tally: &Tally) -> bool {
+        self.queue.pass(|inbox| match tally.pop_all(&inbox.rx) {
+            0 => Drained::Idle,
+            _ => Drained::Worked,
+        })
+    }
+}
+
+/// Drives one producer against one [`ShardedPool`] worker: the producer
+/// pushes `VALUES` values, scheduling after each push and waking shard 0
+/// on the schedule's false→true edge, then blocks until the worker
+/// drained them all. The worker parks through the pool's own epoch
+/// snapshot and recheck, so any deadlock is a value the protocol failed
+/// to schedule. (The pool's idle-poll timeout does not rescue one: a
+/// rescan drains only what is queued.)
+fn drive<P: Protocol>() {
+    let (mut tx, rx) = ring::<u32>(VALUES as usize);
+    let protocol = Arc::new(P::new(rx));
+    let tally = Arc::new(Tally::default());
+    // Dropping a pool joins its worker, which a failing execution's
+    // teardown cannot do; the pool is dropped only once every value
+    // arrived, and a failing schedule leaks it.
+    let pool = std::mem::ManuallyDrop::new({
+        let (protocol, tally) = (Arc::clone(&protocol), Arc::clone(&tally));
+        ShardedPool::new(1, move |_shard| protocol.pass(&tally))
+    });
+    for v in 0..VALUES {
+        tx.try_push(v).unwrap();
+        if protocol.schedule() {
+            pool.notify_shard(0);
+        }
+    }
+    tally.wait_for_all();
+    drop(std::mem::ManuallyDrop::into_inner(pool));
+}
+
+#[test]
+fn ready_queue_never_strands_a_pushed_value() {
+    quick().check(drive::<Shipped>);
+}
+
+/// `laelaps_serve::ready` with its flag in reach, for the two mutations
+/// below. Everything but the marked line matches `ReadyQueue`.
+struct Written {
+    scheduled: AtomicBool,
+    queue: Mutex<Vec<Arc<std::sync::Mutex<Consumer<u32>>>>>,
+    rx: Arc<std::sync::Mutex<Consumer<u32>>>,
+}
+
+impl Written {
+    fn with(rx: Consumer<u32>) -> Self {
+        Written {
+            scheduled: AtomicBool::new(false),
+            queue: Mutex::new(Vec::new()),
+            rx: Arc::new(std::sync::Mutex::new(rx)),
+        }
+    }
+
+    fn schedule(&self) -> bool {
+        if self.scheduled.swap(true, Ordering::AcqRel) {
+            return false;
+        }
+        self.queue.lock().unwrap().push(Arc::clone(&self.rx));
+        true
+    }
+
+    fn take(&self) -> Vec<Arc<std::sync::Mutex<Consumer<u32>>>> {
+        std::mem::take(&mut *self.queue.lock().unwrap())
+    }
+}
+
+/// Mutation 1: the worker clears the flag *after* draining. A push that
+/// lands between the drain's last pop and the clear finds the flag still
+/// set, so it neither queues the item nor wakes the worker, and the
+/// clear then hides it for good.
+struct ClearAfterDrain(Written);
+
+impl Protocol for ClearAfterDrain {
+    fn new(rx: Consumer<u32>) -> Self {
+        ClearAfterDrain(Written::with(rx))
+    }
+
+    fn schedule(&self) -> bool {
+        self.0.schedule()
+    }
+
+    fn pass(&self, tally: &Tally) -> bool {
+        let mut worked = false;
+        for rx in self.0.take() {
+            worked |= tally.pop_all(&rx) > 0;
+            // BUG under test: ready.rs clears before the drain.
+            self.0.scheduled.swap(false, Ordering::AcqRel);
+        }
+        worked
+    }
+}
+
+/// Mutation 2: the worker clears the flag with a plain `Release` store.
+/// The store reads nothing, so when a producer's swap finds the flag
+/// still set (and skips the wakeup), nothing orders that producer's
+/// push before the drain's loads: the drain may see the ring without the
+/// new value even though it starts after the push (a store→load,
+/// Dekker-style race).
+struct ClearWithStore(Written);
+
+impl Protocol for ClearWithStore {
+    fn new(rx: Consumer<u32>) -> Self {
+        ClearWithStore(Written::with(rx))
+    }
+
+    fn schedule(&self) -> bool {
+        self.0.schedule()
+    }
+
+    fn pass(&self, tally: &Tally) -> bool {
+        let mut worked = false;
+        for rx in self.0.take() {
+            // BUG under test: ready.rs clears with swap(false, AcqRel).
+            self.0.scheduled.store(false, Ordering::Release);
+            worked |= tally.pop_all(&rx) > 0;
+        }
+        worked
+    }
+}
+
+/// Random schedules only, so that a failure carries a replay seed.
+fn seeded() -> Checker {
+    Checker::new().dfs_budget(0).random_iters(200)
+}
+
+/// The randomized phase finds this at seed 3; replay it with
+/// `LAELAPS_CHECK_SEED=3 RUSTFLAGS="--cfg laelaps_check" cargo test -p
+/// laelaps-serve --test model -- clearing_the_ready_flag_after_the_drain`.
+#[test]
+fn clearing_the_ready_flag_after_the_drain_strands_a_value() {
+    let failure = seeded()
+        .find_failure(drive::<ClearAfterDrain>)
+        .expect("clearing after the drain must strand a value");
+    assert!(
+        failure.message.contains("deadlock"),
+        "unexpected failure kind: {failure}"
+    );
+    assert!(failure.seed.is_some(), "random schedules carry a seed");
+}
+
+/// The randomized phase finds this at seed 16; replay it with
+/// `LAELAPS_CHECK_SEED=16 RUSTFLAGS="--cfg laelaps_check" cargo test -p
+/// laelaps-serve --test model -- clearing_the_ready_flag_with_a_store`.
+#[test]
+fn clearing_the_ready_flag_with_a_store_strands_a_value() {
+    let failure = seeded()
+        .find_failure(drive::<ClearWithStore>)
+        .expect("a store clear must strand a value");
+    assert!(
+        failure.message.contains("deadlock"),
+        "unexpected failure kind: {failure}"
+    );
+    assert!(failure.seed.is_some(), "random schedules carry a seed");
 }

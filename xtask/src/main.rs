@@ -47,6 +47,7 @@ const HOT_PATH_FILES: &[&str] = &[
     "crates/core/src/am.rs",
     "crates/core/src/postprocess.rs",
     "crates/serve/src/ring.rs",
+    "crates/serve/src/ready.rs",
     "crates/serve/src/session.rs",
     "crates/serve/src/service.rs",
     "crates/serve/src/stats.rs",
@@ -62,6 +63,7 @@ const HOT_PATH_FILES: &[&str] = &[
 /// facade. Keep in sync with `CONCURRENCY.md`.
 const FACADE_FILES: &[&str] = &[
     "crates/serve/src/ring.rs",
+    "crates/serve/src/ready.rs",
     "crates/serve/src/session.rs",
     "crates/serve/src/service.rs",
     "crates/serve/src/stats.rs",
@@ -456,6 +458,23 @@ fn f(ptr: *const u8) -> u8 {
         // Facade modules may use std in their test tails.
         let src = "#[cfg(test)]\nmod tests {\n    use std::sync::atomic::AtomicU64;\n}\n";
         assert!(rules_hit("crates/serve/src/session.rs", src).is_empty());
+    }
+
+    #[test]
+    fn seeded_violations_in_the_ready_queue_fail() {
+        // Every push schedules through the ready queue: its flag protocol
+        // is what the model checker has to see, and it runs per chunk.
+        let file = "crates/serve/src/ready.rs";
+        assert_eq!(
+            rules_hit(file, "use std::sync::atomic::{AtomicBool, Ordering};\n"),
+            vec!["facade-import"],
+            "{file} must be under the facade rule"
+        );
+        assert_eq!(
+            rules_hit(file, "let t = Instant::now();\n"),
+            vec!["hot-path-clock"],
+            "{file} must be under the clock rule"
+        );
     }
 
     #[test]
