@@ -21,30 +21,38 @@
 //!     --addr 127.0.0.1:7071 top [--interval 2] [--count 0]
 //! ```
 //!
-//! `stats` prints the service totals, per-stage latency percentiles
-//! (reconstructed from the wire histograms with the telemetry crate's
-//! own bucket math), and per-shard saturation gauges; `--json` dumps the
-//! same data machine-readably — including the per-session heavy-hitter
-//! rows — and `--prom` emits a Prometheus text scrape (stats + health +
-//! bounded `laelaps_session_*` families). `trace` fetches the flight
-//! recorder's retained spans and writes them as Chrome trace-event JSON
-//! — load the file in Perfetto (<https://ui.perfetto.dev>) to see each
-//! chunk's wire-decode → ring → drain → publish causal chain per
-//! session. `health` renders the SLO engine's verdict, per-rule burn
-//! rates, and recent transitions. `sessions` renders the per-session
-//! observability view: the worst sessions by heavy-hitter
-//! score plus an optional `--session ID` lookup. `watch` refreshes a
-//! top-like stats + health + sessions view in place every `--interval`
-//! seconds (`--count 0` = until interrupted); `top` is the same live
-//! refresh over just the worst-sessions table.
+//! `stats` makes one `StatsRequest`; the server answers with its whole
+//! metric catalogue ([`laelaps_serve::metrics::scrape`]: service totals,
+//! stage latency summaries, shard gauges, tracer, registry and
+//! adaptation counters, health verdicts and the bounded per-session
+//! heavy hitters). Plain `stats` prints the service totals, per-stage
+//! latency percentiles and per-shard saturation gauges, looking each up
+//! by name. `--prom` prints the catalogue as a Prometheus text scrape.
+//! `--json` prints one key per sample name: a name with one unlabelled
+//! sample maps to its value (`"sessions": 3`, `"trace_enabled": 1`),
+//! any other to an array of objects holding the sample's labels and
+//! `value` (`"frames_total": [{"outcome": "in", "value": 4096}, …]`).
+//!
+//! `trace` fetches the flight recorder's retained spans and writes them
+//! as Chrome trace-event JSON — load the file in Perfetto
+//! (<https://ui.perfetto.dev>) to see each chunk's wire-decode → ring →
+//! drain → publish causal chain per session. `health` renders the SLO
+//! engine's verdict, per-rule burn rates, and recent transitions.
+//! `sessions` renders the per-session observability view: the worst
+//! sessions by heavy-hitter score plus an optional `--session ID`
+//! lookup. `watch` refreshes a top-like stats + health + sessions view
+//! in place every `--interval` seconds (`--count 0` = until
+//! interrupted); `top` is the same live refresh over just the
+//! worst-sessions table.
 
 use std::net::TcpStream;
 
 use laelaps_bench::json::Json;
-use laelaps_bench::{arg_present, arg_value, chrome, prom, session_obs_json};
-use laelaps_serve::wire::{read_message, write_message, Message, WireStats};
+use laelaps_bench::{arg_present, arg_value, chrome, metrics_json, prom, session_obs_json};
+use laelaps_serve::metrics::{value, MetricFamily};
+use laelaps_serve::wire::{read_message, write_message, Message};
 use laelaps_serve::{
-    sample_label, HealthSnapshot, SessionObsRow, SessionObsSnapshot, Stage, SAMPLE_WORDS,
+    sample_label, HealthSnapshot, SessionObsRow, SessionObsSnapshot, SAMPLE_WORDS,
 };
 
 fn fail(reason: &str) -> ! {
@@ -64,10 +72,24 @@ fn exchange(addr: &str, request: &Message) -> Message {
     reply
 }
 
-/// Fetches the stats, health, *and* per-session snapshots on one
+/// Fetches every service metric with one `StatsRequest`.
+fn fetch_metrics(addr: &str) -> Vec<MetricFamily> {
+    match exchange(addr, &Message::StatsRequest) {
+        Message::StatsSnapshot { families } => families,
+        other => fail(&format!("expected StatsSnapshot, got {other:?}")),
+    }
+}
+
+/// Fetches the metrics, health, *and* per-session snapshots on one
 /// introspection connection (three requests back to back — the
 /// introspection exchange keeps answering until `Close`).
-fn fetch_snapshots(addr: &str) -> (Box<WireStats>, Box<HealthSnapshot>, Box<SessionObsSnapshot>) {
+fn fetch_snapshots(
+    addr: &str,
+) -> (
+    Vec<MetricFamily>,
+    Box<HealthSnapshot>,
+    Box<SessionObsSnapshot>,
+) {
     let mut stream = TcpStream::connect(addr)
         .unwrap_or_else(|e| fail(&format!("cannot connect to {addr}: {e}")));
     let mut ask = |request: &Message| -> Message {
@@ -77,8 +99,8 @@ fn fetch_snapshots(addr: &str) -> (Box<WireStats>, Box<HealthSnapshot>, Box<Sess
             .unwrap_or_else(|e| fail(&format!("malformed reply: {e}")))
             .unwrap_or_else(|| fail("server closed without answering"))
     };
-    let stats = match ask(&Message::StatsRequest) {
-        Message::StatsSnapshot { stats } => stats,
+    let families = match ask(&Message::StatsRequest) {
+        Message::StatsSnapshot { families } => families,
         other => fail(&format!("expected StatsSnapshot, got {other:?}")),
     };
     let health = match ask(&Message::HealthRequest) {
@@ -90,7 +112,7 @@ fn fetch_snapshots(addr: &str) -> (Box<WireStats>, Box<HealthSnapshot>, Box<Sess
         other => fail(&format!("expected SessionStatsSnapshot, got {other:?}")),
     };
     let _ = write_message(&mut stream, &Message::Close);
-    (stats, health, sessions)
+    (families, health, sessions)
 }
 
 /// Fetches one per-session snapshot, optionally with a lookup row.
@@ -98,89 +120,6 @@ fn fetch_sessions(addr: &str, session: Option<u64>) -> Box<SessionObsSnapshot> {
     match exchange(addr, &Message::SessionStatsRequest { session }) {
         Message::SessionStatsSnapshot { sessions } => sessions,
         other => fail(&format!("expected SessionStatsSnapshot, got {other:?}")),
-    }
-}
-
-fn stats_json(stats: &WireStats, sessions: &SessionObsSnapshot) -> Json {
-    Json::obj([
-        ("sessions", Json::num_u64(stats.sessions as u64)),
-        (
-            "retired_sessions",
-            Json::num_u64(stats.retired_sessions as u64),
-        ),
-        ("frames_in", Json::num_u64(stats.frames_in)),
-        ("frames_processed", Json::num_u64(stats.frames_processed)),
-        ("frames_dropped", Json::num_u64(stats.frames_dropped)),
-        ("frames_refused", Json::num_u64(stats.frames_refused)),
-        ("frames_discarded", Json::num_u64(stats.frames_discarded)),
-        ("events_out", Json::num_u64(stats.events_out)),
-        ("alarms_out", Json::num_u64(stats.alarms_out)),
-        ("max_drain_micros", Json::num_u64(stats.max_drain_micros)),
-        (
-            "recent_frames_per_sec",
-            Json::Num(stats.recent_frames_per_sec),
-        ),
-        ("telemetry_enabled", Json::Bool(stats.telemetry_enabled)),
-        (
-            "trace",
-            Json::obj([
-                ("enabled", Json::Bool(stats.trace_enabled)),
-                ("minted", Json::num_u64(stats.trace_minted)),
-                ("recorded", Json::num_u64(stats.trace_recorded)),
-                ("dropped", Json::num_u64(stats.trace_dropped)),
-                ("pinned", Json::num_u64(stats.trace_pinned)),
-            ]),
-        ),
-        (
-            "stages",
-            Json::Arr(
-                stats
-                    .stages
-                    .iter()
-                    .map(|row| {
-                        let hist = row.to_histogram();
-                        Json::obj([
-                            ("stage", Json::Str(stage_label(row.stage))),
-                            ("count", Json::num_u64(hist.count)),
-                            ("sum_us", Json::num_u64(hist.sum)),
-                            ("mean_us", Json::Num((hist.mean() * 100.0).round() / 100.0)),
-                            ("p50_us", Json::num_u64(hist.p50())),
-                            ("p99_us", Json::num_u64(hist.p99())),
-                            ("p999_us", Json::num_u64(hist.p999())),
-                            ("max_us", Json::num_u64(hist.max)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "shards",
-            Json::Arr(
-                stats
-                    .shards
-                    .iter()
-                    .map(|s| {
-                        Json::obj([
-                            ("shard", Json::num_u64(s.shard as u64)),
-                            ("sessions", Json::num_u64(s.sessions as u64)),
-                            (
-                                "ring_depth_chunks",
-                                Json::num_u64(s.ring_depth_chunks as u64),
-                            ),
-                            ("in_flight_frames", Json::num_u64(s.in_flight_frames)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        ("session_obs", session_obs_json(sessions)),
-    ])
-}
-
-fn stage_label(raw: u8) -> String {
-    match Stage::ALL.get(raw as usize) {
-        Some(stage) => stage.name().to_string(),
-        None => format!("stage_{raw}"),
     }
 }
 
@@ -358,8 +297,8 @@ fn sparkline(series: &[Vec<u64>], word: usize) -> String {
 /// The refreshing top-like view: service throughput, verdicts and burn
 /// rates, shard saturation, the worst sessions, and sparklines over the
 /// health time-series.
-fn print_watch(stats: &WireStats, health: &HealthSnapshot, sessions: &SessionObsSnapshot) {
-    print_stats(stats);
+fn print_watch(families: &[MetricFamily], health: &HealthSnapshot, sessions: &SessionObsSnapshot) {
+    print_stats(families);
     println!();
     print_health(health);
     if sessions.enabled {
@@ -387,54 +326,82 @@ fn print_watch(stats: &WireStats, health: &HealthSnapshot, sessions: &SessionObs
     }
 }
 
-fn print_stats(stats: &WireStats) {
+/// The `key` label of every sample called `name`, in catalogue order.
+fn labels_of(families: &[MetricFamily], name: &str, key: &str) -> Vec<String> {
+    families
+        .iter()
+        .flat_map(|f| &f.samples)
+        .filter(|s| s.name == name)
+        .filter_map(|s| s.labels.iter().find(|(k, _)| k == key))
+        .map(|(_, v)| v.clone())
+        .collect()
+}
+
+fn print_stats(families: &[MetricFamily]) {
+    let get = |name: &str, labels: &[(&str, &str)]| value(families, name, labels).unwrap_or(0.0);
+    let count = |name: &str, labels: &[(&str, &str)]| get(name, labels) as u64;
+    let frames = |outcome| count("frames_total", &[("outcome", outcome)]);
+    let spans = |status| count("trace_spans_total", &[("status", status)]);
     println!(
         "sessions        {} live, {} retired",
-        stats.sessions, stats.retired_sessions
+        count("sessions", &[]),
+        count("retired_sessions", &[])
     );
     println!(
         "frames          {} in, {} processed, {} dropped, {} refused, {} discarded",
-        stats.frames_in,
-        stats.frames_processed,
-        stats.frames_dropped,
-        stats.frames_refused,
-        stats.frames_discarded
+        frames("in"),
+        frames("processed"),
+        frames("dropped"),
+        frames("refused"),
+        frames("discarded")
     );
     println!(
         "output          {} events, {} alarms",
-        stats.events_out, stats.alarms_out
+        count("events_total", &[]),
+        count("alarms_total", &[])
     );
     println!(
         "throughput      {:.0} frames/s recent, {} us worst drain",
-        stats.recent_frames_per_sec, stats.max_drain_micros
+        get("recent_frames_per_sec", &[]),
+        count("max_drain_micros", &[])
     );
     println!(
         "trace           {} (minted {}, recorded {}, dropped {}, pinned {})",
-        if stats.trace_enabled { "on" } else { "off" },
-        stats.trace_minted,
-        stats.trace_recorded,
-        stats.trace_dropped,
-        stats.trace_pinned
+        if count("trace_enabled", &[]) == 1 {
+            "on"
+        } else {
+            "off"
+        },
+        spans("minted"),
+        spans("recorded"),
+        spans("dropped"),
+        count("trace_pinned", &[])
     );
-    if stats.telemetry_enabled && !stats.stages.is_empty() {
+    let stages = labels_of(families, "stage_latency_us_count", "stage");
+    if count("telemetry_enabled", &[]) == 1 && !stages.is_empty() {
         println!("stage             count      p50      p99     p999      max (us)");
-        for row in &stats.stages {
-            let hist = row.to_histogram();
+        for stage in &stages {
+            let row = |name| count(name, &[("stage", stage)]);
+            let quantile = |q| count("stage_latency_us", &[("stage", stage), ("quantile", q)]);
             println!(
                 "{:<16} {:>8} {:>8} {:>8} {:>8} {:>8}",
-                stage_label(row.stage),
-                hist.count,
-                hist.p50(),
-                hist.p99(),
-                hist.p999(),
-                hist.max
+                stage,
+                row("stage_latency_us_count"),
+                quantile("0.5"),
+                quantile("0.99"),
+                quantile("0.999"),
+                row("stage_latency_us_max")
             );
         }
     }
-    for shard in &stats.shards {
+    for shard in labels_of(families, "shard_sessions", "shard") {
+        let gauge = |name| count(name, &[("shard", &shard)]);
         println!(
             "shard {:<3} {} sessions, {} chunks queued, {} frames in flight",
-            shard.shard, shard.sessions, shard.ring_depth_chunks, shard.in_flight_frames
+            shard,
+            gauge("shard_sessions"),
+            gauge("shard_ring_depth_chunks"),
+            gauge("shard_in_flight_frames")
         );
     }
 }
@@ -451,21 +418,14 @@ fn main() {
 
     match command {
         "stats" => {
+            let families = fetch_metrics(&addr);
             if arg_present(&args, "--prom") {
-                let (stats, health, sessions) = fetch_snapshots(&addr);
-                print!("{}", prom::render(&stats, &health, &sessions));
-                return;
+                print!("{}", prom::render(&families));
+            } else if arg_present(&args, "--json") {
+                print!("{}", metrics_json(&families).render_pretty());
+            } else {
+                print_stats(&families);
             }
-            if arg_present(&args, "--json") {
-                let (stats, _, sessions) = fetch_snapshots(&addr);
-                print!("{}", stats_json(&stats, &sessions).render_pretty());
-                return;
-            }
-            let reply = exchange(&addr, &Message::StatsRequest);
-            let Message::StatsSnapshot { stats } = reply else {
-                fail(&format!("expected StatsSnapshot, got {reply:?}"));
-            };
-            print_stats(&stats);
         }
         "health" => {
             let reply = exchange(&addr, &Message::HealthRequest);
@@ -514,11 +474,11 @@ fn main() {
                     println!();
                     print_sessions(&sessions);
                 } else {
-                    let (stats, health, sessions) = fetch_snapshots(&addr);
+                    let (families, health, sessions) = fetch_snapshots(&addr);
                     print!("\x1b[2J\x1b[H");
                     println!("laelapsctl watch — {addr} (refresh {interval}s, ctrl-c to stop)");
                     println!();
-                    print_watch(&stats, &health, &sessions);
+                    print_watch(&families, &health, &sessions);
                 }
                 use std::io::Write as _;
                 let _ = std::io::stdout().flush();

@@ -62,8 +62,8 @@ use laelaps_eval::parallel::{default_threads, parallel_map};
 use laelaps_eval::runner::{train_laelaps, PreparedPatient};
 use laelaps_ieeg::synth::demo_patient;
 use laelaps_ieeg::Recording;
+use laelaps_serve::metrics::scrape;
 use laelaps_serve::net::{IngestClient, IngestServer};
-use laelaps_serve::wire::WireStats;
 use laelaps_serve::{
     DetectionService, HealthConfig, HealthSnapshot, ModelRegistry, PushError, ServeConfig,
     ServiceStats, SessionObsConfig, SessionObsSnapshot, TelemetryConfig, TraceConfig,
@@ -705,12 +705,8 @@ fn main() {
     eprintln!("loadgen: wrote {out_path}");
 
     if let Some(path) = prom_out {
-        let scrape = prom::render(
-            &WireStats::from_stats(&report.stats),
-            &report.health,
-            &report.session_obs,
-        );
-        std::fs::write(&path, scrape).expect("prom artifact writes");
+        let families = scrape(&report.stats, &report.health, &report.session_obs);
+        std::fs::write(&path, prom::render(&families)).expect("prom artifact writes");
         eprintln!("loadgen: wrote {path}");
     }
 

@@ -47,13 +47,6 @@ pub struct ChromeSpan {
     pub dur_us: u64,
 }
 
-fn stage_name(raw: u8) -> String {
-    match Stage::ALL.get(raw as usize) {
-        Some(stage) => stage.name().to_string(),
-        None => format!("stage_{raw}"),
-    }
-}
-
 /// Flattens an in-process trace snapshot into export rows (every
 /// retained span, oldest first).
 pub fn snapshot_spans(snapshot: &TraceSnapshot) -> Vec<ChromeSpan> {
@@ -78,7 +71,9 @@ pub fn wire_spans(spans: &[WireSpan]) -> Vec<ChromeSpan> {
     spans
         .iter()
         .map(|span| ChromeSpan {
-            name: stage_name(span.stage),
+            name: Stage::ALL
+                .get(span.stage as usize)
+                .map_or_else(|| format!("stage_{}", span.stage), |s| s.name().to_string()),
             shard: span.shard,
             session: span.session,
             trace_id: span.trace_id,

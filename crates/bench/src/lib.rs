@@ -20,6 +20,7 @@ pub mod json;
 pub mod prom;
 
 use json::Json;
+use laelaps_serve::metrics::MetricFamily;
 use laelaps_serve::{SessionObsRow, SessionObsSnapshot};
 
 /// Parses a `--flag value` style argument list (tiny helper shared by the
@@ -33,6 +34,38 @@ pub fn arg_value(args: &[String], flag: &str) -> Option<String> {
 /// Whether a bare `--flag` is present.
 pub fn arg_present(args: &[String], flag: &str) -> bool {
     args.iter().any(|a| a == flag)
+}
+
+/// The metric catalogue as one JSON object — what `laelapsctl stats
+/// --json` prints. Each sample name is one key, in catalogue order. A
+/// name with a single unlabelled sample maps to its value; any other
+/// name maps to an array of objects, each holding that sample's labels
+/// and its `value`.
+pub fn metrics_json(families: &[MetricFamily]) -> Json {
+    let mut keys: Vec<(String, Vec<Json>)> = Vec::new();
+    for sample in families.iter().flat_map(|f| &f.samples) {
+        let mut row: Vec<(String, Json)> = sample
+            .labels
+            .iter()
+            .map(|(k, v)| (k.clone(), Json::Str(v.clone())))
+            .collect();
+        row.push(("value".to_string(), Json::Num(sample.value)));
+        match keys.iter_mut().find(|(name, _)| *name == sample.name) {
+            Some((_, rows)) => rows.push(Json::Obj(row)),
+            None => keys.push((sample.name.clone(), vec![Json::Obj(row)])),
+        }
+    }
+    Json::Obj(
+        keys.into_iter()
+            .map(|(name, rows)| {
+                let value = match rows.as_slice() {
+                    [Json::Obj(row)] if row.len() == 1 => row[0].1.clone(),
+                    _ => Json::Arr(rows),
+                };
+                (name, value)
+            })
+            .collect(),
+    )
 }
 
 /// The per-session observability view as JSON: `enabled`, `ticks`, the

@@ -1,37 +1,16 @@
 //! Minimal Prometheus text-exposition (format 0.0.4) renderer for the
-//! service's wire introspection snapshots.
+//! service's metric catalogue.
 //!
-//! Takes the same [`WireStats`] / [`HealthSnapshot`] /
-//! [`SessionObsSnapshot`] payloads the introspection connection answers
-//! with and flattens them into the
-//! plain-text `# HELP` / `# TYPE` / sample-line format every Prometheus
-//! scraper (and `promtool`) understands — no client library, no
+//! Takes the [`MetricFamily`] list that [`laelaps_serve::metrics::scrape`]
+//! builds — the same list a wire `StatsSnapshot` carries — and prints
+//! each family's `# HELP` / `# TYPE` lines followed by its samples, every
+//! name prefixed with [`NAMESPACE`]. This module owns no metric list: it
+//! names no family and writes no help text, so a metric added to the
+//! catalogue renders here without an edit. No client library, no
 //! registry, just deterministic string assembly, so the output is stable
-//! enough to golden-test byte for byte.
-//!
-//! Rendered families (all prefixed `laelaps_`):
-//!
-//! * service gauges and counters (`sessions`, `frames_total{outcome=…}`,
-//!   `events_total`, …);
-//! * per-stage latency summaries (`stage_latency_us{stage=…,quantile=…}`
-//!   with `_count` / `_sum` / `_max`), reconstructed from the wire
-//!   histograms with the telemetry crate's own bucket math;
-//! * per-shard saturation gauges (`shard_…{shard=…}`);
-//! * tracer accounting (`trace_spans_total{status=…}`);
-//! * the SLO engine: `health_verdict` (0 = ok, 1 = degraded,
-//!   2 = critical), per-rule `slo_verdict{rule=…}` and
-//!   `slo_burn_rate{rule=…,window=fast|slow}`, and
-//!   `health_transitions_total` (every transition since the evaluator
-//!   started, not just the journal's). `health_enabled 0` with no rule
-//!   rows means the server runs without health evaluation;
-//! * the per-session layer (`laelaps_session_*`, session id as label):
-//!   **bounded** — only the heavy-hitter top-K rows render, never one
-//!   row per live session, so cardinality stays `O(shards × top_k)`
-//!   however many sessions stream. `session_obs_enabled 0` with no
-//!   session rows means the layer is off.
+//! enough to golden-test byte for byte (`tests/golden/health.prom`).
 
-use laelaps_serve::wire::WireStats;
-use laelaps_serve::{HealthSnapshot, SessionObsSnapshot, Stage};
+use laelaps_serve::metrics::{MetricFamily, NAMESPACE};
 
 /// Renders `f` the way Prometheus expects: shortest round-trip decimal
 /// (Rust's `Display` for `f64`), with non-finite values spelled in the
@@ -56,339 +35,41 @@ fn label(value: &str) -> String {
         .replace('\n', "\\n")
 }
 
-fn stage_name(raw: u8) -> String {
-    match Stage::ALL.get(raw as usize) {
-        Some(stage) => stage.name().to_string(),
-        None => format!("stage_{raw}"),
-    }
-}
-
-struct Exposition {
-    out: String,
-}
-
-impl Exposition {
-    fn new() -> Self {
-        Exposition { out: String::new() }
-    }
-
-    fn family(&mut self, name: &str, kind: &str, help: &str) {
-        self.out
-            .push_str(&format!("# HELP laelaps_{name} {help}\n"));
-        self.out
-            .push_str(&format!("# TYPE laelaps_{name} {kind}\n"));
-    }
-
-    fn sample(&mut self, name: &str, labels: &[(&str, &str)], value: f64) {
-        self.out.push_str(&format!("laelaps_{name}"));
-        if !labels.is_empty() {
-            let rendered: Vec<String> = labels
-                .iter()
-                .map(|(k, v)| format!("{k}=\"{}\"", label(v)))
-                .collect();
-            self.out.push_str(&format!("{{{}}}", rendered.join(",")));
-        }
-        self.out.push_str(&format!(" {}\n", num(value)));
-    }
-}
-
-/// Renders one complete scrape: the service stats, the health view,
-/// then the per-session heavy hitters. Deterministic for fixed inputs —
-/// suitable for golden tests and for diffing two scrapes.
-pub fn render(stats: &WireStats, health: &HealthSnapshot, sessions: &SessionObsSnapshot) -> String {
-    let mut exp = Exposition::new();
-
-    exp.family("sessions", "gauge", "Sessions currently registered.");
-    exp.sample("sessions", &[], stats.sessions as f64);
-    exp.family(
-        "retired_sessions",
-        "gauge",
-        "Sessions finished and retired from their shard.",
-    );
-    exp.sample("retired_sessions", &[], stats.retired_sessions as f64);
-
-    exp.family(
-        "frames_total",
-        "counter",
-        "Frames by outcome: accepted (in), processed, dropped, refused, discarded.",
-    );
-    for (outcome, value) in [
-        ("in", stats.frames_in),
-        ("processed", stats.frames_processed),
-        ("dropped", stats.frames_dropped),
-        ("refused", stats.frames_refused),
-        ("discarded", stats.frames_discarded),
-    ] {
-        exp.sample("frames_total", &[("outcome", outcome)], value as f64);
-    }
-
-    exp.family("events_total", "counter", "Classification events emitted.");
-    exp.sample("events_total", &[], stats.events_out as f64);
-    exp.family("alarms_total", "counter", "Seizure alarms raised.");
-    exp.sample("alarms_total", &[], stats.alarms_out as f64);
-    exp.family(
-        "max_drain_micros",
-        "gauge",
-        "Worst-case wall time of one drain batch, microseconds.",
-    );
-    exp.sample("max_drain_micros", &[], stats.max_drain_micros as f64);
-    exp.family(
-        "recent_frames_per_sec",
-        "gauge",
-        "Frames drained per second over the trailing window.",
-    );
-    exp.sample("recent_frames_per_sec", &[], stats.recent_frames_per_sec);
-    exp.family(
-        "telemetry_enabled",
-        "gauge",
-        "Whether stage timing is on (1) or off (0).",
-    );
-    exp.sample(
-        "telemetry_enabled",
-        &[],
-        stats.telemetry_enabled as u8 as f64,
-    );
-
-    exp.family(
-        "stage_latency_us",
-        "summary",
-        "Hot-path stage latency, microseconds (quantiles from the telemetry histograms).",
-    );
-    for row in &stats.stages {
-        let hist = row.to_histogram();
-        let stage = stage_name(row.stage);
-        for (q, v) in [
-            ("0.5", hist.p50()),
-            ("0.99", hist.p99()),
-            ("0.999", hist.p999()),
-        ] {
-            exp.sample(
-                "stage_latency_us",
-                &[("stage", &stage), ("quantile", q)],
-                v as f64,
-            );
-        }
-        exp.sample(
-            "stage_latency_us_count",
-            &[("stage", &stage)],
-            hist.count as f64,
-        );
-        exp.sample(
-            "stage_latency_us_sum",
-            &[("stage", &stage)],
-            hist.sum as f64,
-        );
-        exp.sample(
-            "stage_latency_us_max",
-            &[("stage", &stage)],
-            hist.max as f64,
-        );
-    }
-
-    exp.family(
-        "shard_sessions",
-        "gauge",
-        "Live sessions pinned to the shard.",
-    );
-    for shard in &stats.shards {
-        let id = shard.shard.to_string();
-        exp.sample("shard_sessions", &[("shard", &id)], shard.sessions as f64);
-    }
-    exp.family(
-        "shard_ring_depth_chunks",
-        "gauge",
-        "Chunks queued across the shard's session rings.",
-    );
-    for shard in &stats.shards {
-        let id = shard.shard.to_string();
-        exp.sample(
-            "shard_ring_depth_chunks",
-            &[("shard", &id)],
-            shard.ring_depth_chunks as f64,
-        );
-    }
-    exp.family(
-        "shard_in_flight_frames",
-        "gauge",
-        "Accepted frames not yet processed or discarded on the shard.",
-    );
-    for shard in &stats.shards {
-        let id = shard.shard.to_string();
-        exp.sample(
-            "shard_in_flight_frames",
-            &[("shard", &id)],
-            shard.in_flight_frames as f64,
-        );
-    }
-
-    exp.family(
-        "trace_enabled",
-        "gauge",
-        "Whether per-chunk causal tracing is on (1) or off (0).",
-    );
-    exp.sample("trace_enabled", &[], stats.trace_enabled as u8 as f64);
-    exp.family(
-        "trace_spans_total",
-        "counter",
-        "Tracer accounting: ids minted, spans recorded, spans dropped.",
-    );
-    for (status, value) in [
-        ("minted", stats.trace_minted),
-        ("recorded", stats.trace_recorded),
-        ("dropped", stats.trace_dropped),
-    ] {
-        exp.sample("trace_spans_total", &[("status", status)], value as f64);
-    }
-    exp.family(
-        "trace_pinned",
-        "gauge",
-        "Distinct pinned traces currently retained.",
-    );
-    exp.sample("trace_pinned", &[], stats.trace_pinned as f64);
-
-    exp.family(
-        "health_enabled",
-        "gauge",
-        "Whether SLO health evaluation is running (1) or off (0).",
-    );
-    exp.sample("health_enabled", &[], health.enabled as u8 as f64);
-    exp.family(
-        "health_verdict",
-        "gauge",
-        "Folded service verdict: 0 = ok, 1 = degraded, 2 = critical.",
-    );
-    exp.sample("health_verdict", &[], health.verdict as u8 as f64);
-    exp.family(
-        "health_ticks_total",
-        "counter",
-        "Health evaluation ticks performed.",
-    );
-    exp.sample("health_ticks_total", &[], health.ticks as f64);
-    exp.family(
-        "slo_verdict",
-        "gauge",
-        "Per-rule verdict: 0 = ok, 1 = degraded, 2 = critical.",
-    );
-    for rule in &health.rules {
-        exp.sample(
-            "slo_verdict",
-            &[("rule", &rule.name)],
-            rule.verdict as u8 as f64,
-        );
-    }
-    exp.family(
-        "slo_burn_rate",
-        "gauge",
-        "Per-rule burn rate (observed / ceiling; 1.0 = at the objective's limit).",
-    );
-    for rule in &health.rules {
-        exp.sample(
-            "slo_burn_rate",
-            &[("rule", &rule.name), ("window", "fast")],
-            rule.fast_burn,
-        );
-        exp.sample(
-            "slo_burn_rate",
-            &[("rule", &rule.name), ("window", "slow")],
-            rule.slow_burn,
-        );
-    }
-    exp.family(
-        "health_transitions_total",
-        "counter",
-        "Verdict transitions (rule and overall) since the evaluator started.",
-    );
-    exp.sample(
-        "health_transitions_total",
-        &[],
-        health.transitions_total as f64,
-    );
-
-    exp.family(
-        "session_obs_enabled",
-        "gauge",
-        "Whether the per-session observability layer is on (1) or off (0).",
-    );
-    exp.sample("session_obs_enabled", &[], sessions.enabled as u8 as f64);
-    exp.family(
-        "session_drain_ticks_total",
-        "counter",
-        "Shard-worker drain passes (the tick domain of session_last_drain_tick).",
-    );
-    exp.sample("session_drain_ticks_total", &[], sessions.ticks as f64);
-
-    exp.family(
-        "session_frames_total",
-        "counter",
-        "Heavy-hitter session frames by outcome (top-K rows only — bounded cardinality).",
-    );
-    for row in &sessions.top {
-        let id = row.session.to_string();
-        for (outcome, value) in [
-            ("in", row.stats.frames_in),
-            ("processed", row.stats.frames_processed),
-            ("dropped", row.stats.frames_dropped),
-            ("discarded", row.stats.frames_discarded),
-        ] {
-            exp.sample(
-                "session_frames_total",
-                &[("session", &id), ("outcome", outcome)],
-                value as f64,
-            );
+/// Renders one complete scrape: every family in catalogue order, each
+/// as its HELP and TYPE lines and then one line per sample.
+/// Deterministic for fixed inputs — suitable for golden tests and for
+/// diffing two scrapes.
+pub fn render(families: &[MetricFamily]) -> String {
+    let mut out = String::new();
+    for family in families {
+        let name = &family.name;
+        out.push_str(&format!("# HELP {NAMESPACE}{name} {}\n", family.help));
+        out.push_str(&format!(
+            "# TYPE {NAMESPACE}{name} {}\n",
+            family.kind.name()
+        ));
+        for sample in &family.samples {
+            out.push_str(NAMESPACE);
+            out.push_str(&sample.name);
+            if !sample.labels.is_empty() {
+                let rendered: Vec<String> = sample
+                    .labels
+                    .iter()
+                    .map(|(k, v)| format!("{k}=\"{}\"", label(v)))
+                    .collect();
+                out.push_str(&format!("{{{}}}", rendered.join(",")));
+            }
+            out.push_str(&format!(" {}\n", num(sample.value)));
         }
     }
-    exp.family(
-        "session_ewma_drain_us",
-        "gauge",
-        "Heavy-hitter session drain-latency EWMA, microseconds.",
-    );
-    for row in &sessions.top {
-        let id = row.session.to_string();
-        exp.sample(
-            "session_ewma_drain_us",
-            &[("session", &id)],
-            row.stats.ewma_drain_us as f64,
-        );
-    }
-    exp.family(
-        "session_last_drain_tick",
-        "gauge",
-        "Drain tick of the session's last productive pass (compare with session_drain_ticks_total).",
-    );
-    for row in &sessions.top {
-        let id = row.session.to_string();
-        exp.sample(
-            "session_last_drain_tick",
-            &[("session", &id)],
-            row.stats.last_drain_tick as f64,
-        );
-    }
-    exp.family(
-        "session_score",
-        "gauge",
-        "Heavy-hitter score by dimension (cumulative; higher = worse).",
-    );
-    for row in &sessions.top {
-        let id = row.session.to_string();
-        for (dimension, value) in [
-            ("latency", row.scores.latency),
-            ("saturation", row.scores.saturation),
-            ("discard", row.scores.discard),
-        ] {
-            exp.sample(
-                "session_score",
-                &[("session", &id), ("dimension", dimension)],
-                value as f64,
-            );
-        }
-    }
-
-    exp.out
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use laelaps_serve::metrics::scrape;
+    use laelaps_serve::{HealthSnapshot, ServiceStats, SessionObsSnapshot};
 
     #[test]
     fn numbers_render_the_exposition_way() {
@@ -407,11 +88,11 @@ mod tests {
 
     #[test]
     fn disabled_health_still_renders_the_gauge() {
-        let text = render(
-            &WireStats::default(),
+        let text = render(&scrape(
+            &ServiceStats::default(),
             &HealthSnapshot::default(),
             &SessionObsSnapshot::default(),
-        );
+        ));
         assert!(text.contains("laelaps_health_enabled 0\n"));
         assert!(text.contains("laelaps_health_verdict 0\n"));
         assert!(!text.contains("slo_verdict{"), "no rules when disabled");
@@ -438,11 +119,11 @@ mod tests {
             transitions: vec![transition.clone(), transition],
             ..HealthSnapshot::default()
         };
-        let text = render(
-            &WireStats::default(),
+        let text = render(&scrape(
+            &ServiceStats::default(),
             &health,
             &SessionObsSnapshot::default(),
-        );
+        ));
         assert!(text.contains("laelaps_health_transitions_total 7\n"));
     }
 }

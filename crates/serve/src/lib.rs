@@ -93,7 +93,12 @@
 //!   stage histograms and folds in the subsystem counters with a uniform
 //!   zero-when-unused shape: [`RegistryStats`] cache
 //!   hits/misses/evictions and [`AdaptStats`] feedback/retrain/swap
-//!   counts. Timing is on by default
+//!   counts. One metric catalogue, [`metrics::scrape`], names every
+//!   exported metric — its name, help text, kind and labels — over the
+//!   service stats, the health view and the per-session heavy hitters;
+//!   the wire's `StatsSnapshot`, the Prometheus renderer and
+//!   `laelapsctl` all read that one list, so a new metric needs no edit
+//!   anywhere else. Timing is on by default
 //!   ([`ServeConfig::telemetry`]); switching it off reduces the
 //!   instrumentation to its plain atomic counters — no clock reads on
 //!   the hot path, and the `loadgen` overhead gate holds the enabled
@@ -111,9 +116,9 @@
 //!   (alarms, drops, discards, slow stages, applied hot-swaps) *pin*
 //!   their trace for tail-based retention. Read it in process via
 //!   [`DetectionService::trace_snapshot`], or live over the wire: a
-//!   connection opening with `StatsRequest` / `TraceDumpRequest` (wire
-//!   v3) gets `StatsSnapshot` / `TraceDump` replies — what the
-//!   `laelapsctl` binary in `laelaps-bench` renders, and what
+//!   connection opening with `StatsRequest` / `TraceDumpRequest` gets
+//!   `StatsSnapshot` (the metric catalogue) / `TraceDump` replies — what
+//!   the `laelapsctl` binary in `laelaps-bench` renders, and what
 //!   `loadgen --trace-out` exports as Chrome trace-event JSON for
 //!   Perfetto. Tracing defaults off and then performs zero clock reads.
 //!
@@ -141,9 +146,9 @@
 //!   Read it in process via [`DetectionService::session_obs_snapshot`],
 //!   or over the wire: `SessionStatsRequest` (optional single-session
 //!   lookup) answers with `SessionStatsSnapshot` — what
-//!   `laelapsctl sessions` / `laelapsctl top` render and
-//!   `laelapsctl stats --prom` exposes as bounded `laelaps_session_*`
-//!   Prometheus families. The layer defaults **off**; enabled, the
+//!   `laelapsctl sessions` / `laelapsctl top` render. The catalogue
+//!   exports the top-K rows as bounded `laelaps_session_*` families
+//!   (`laelapsctl stats --prom`). The layer defaults **off**; enabled, the
 //!   loadgen overhead gate holds it within 3% of telemetry-only.
 //! * **Health & SLO** ([`ServeConfig::health`] / [`HealthSnapshot`]) —
 //!   a continuous judgment layer on top of the raw telemetry: a
@@ -166,8 +171,9 @@
 //!   [`ServiceEvent::Health`] on the bus and accumulate in a bounded
 //!   journal; read the whole surface in process via
 //!   [`DetectionService::health_snapshot`], over the wire via
-//!   `HealthRequest` (what `laelapsctl health` / `watch` render and
-//!   `laelapsctl stats --prom` exposes as Prometheus text).
+//!   `HealthRequest` (what `laelapsctl health` / `watch` render); the
+//!   catalogue exports the verdicts and burn rates as metric families
+//!   (`laelapsctl stats --prom`).
 //!   Health defaults **off**: no evaluator thread, no heartbeat bumps,
 //!   zero extra hot-path clock reads.
 //!
@@ -194,6 +200,7 @@
 pub mod adapt;
 pub mod error;
 pub mod health;
+pub mod metrics;
 pub mod net;
 pub mod persist;
 pub mod ready;

@@ -52,12 +52,13 @@ use laelaps_telemetry::{Stage, StageSet};
 
 use crate::adapt::{AdaptationEngine, FeedbackSegment};
 use crate::error::{Result, ServeError};
+use crate::metrics::scrape;
 use crate::persist::ModelRegistry;
 use crate::service::DetectionService;
 use crate::session::{EventTap, PushError, SessionHandle, SessionOutput};
 use crate::wire::{
     event_message, read_message, read_message_spanned, trace_dump_message, write_message, Message,
-    WireStats, MAX_PAYLOAD,
+    MAX_PAYLOAD,
 };
 use event_log::EventLog;
 
@@ -436,10 +437,13 @@ fn open_from_hello(
 /// Answers a read-only introspection exchange: the connection's first
 /// message was `StatsRequest`/`TraceDumpRequest`/`HealthRequest`/
 /// `SessionStatsRequest`, and every subsequent
-/// message must be another request (or `Close`/EOF to end it). Stats
-/// come from the engine when one is attached (registry + adaptation
-/// counters included) and from the service + registry otherwise — the
-/// same snapshot [`DetectionService::stats`] serves in process.
+/// message must be another request (or `Close`/EOF to end it). A stats
+/// request answers with the whole metric catalogue
+/// ([`crate::metrics::scrape`]) over the service stats, the health view
+/// and the per-session heavy hitters. The stats come from the engine
+/// when one is attached (registry + adaptation counters included) and
+/// from the service + registry otherwise — the same snapshot
+/// [`DetectionService::stats`] serves in process.
 fn serve_introspection(
     first: Message,
     reader: &mut ShutdownRead,
@@ -457,7 +461,11 @@ fn serve_introspection(
                     None => service.stats().with_registry(registry.stats()),
                 };
                 Message::StatsSnapshot {
-                    stats: Box::new(WireStats::from_stats(&stats)),
+                    families: scrape(
+                        &stats,
+                        &service.health_snapshot(),
+                        &service.session_obs_snapshot(None),
+                    ),
                 }
             }
             Message::TraceDumpRequest { limit } => {

@@ -253,24 +253,26 @@ impl SessionCore {
         Ok(())
     }
 
-    /// Whether a staged hot-swap has not yet been applied by the shard
-    /// worker.
+    /// Whether a requested hot-swap is not yet published: still staged,
+    /// or applied by the shard worker in a pass that has not yet put its
+    /// `ModelSwapped` marker in the outbox.
     pub fn swap_pending(&self) -> bool {
         self.pending_swap.is_pending()
     }
 
     /// Applies the staged hot-swap if its barrier has been reached:
     /// swaps the request's model into `detector` at stream position
-    /// `at_frame` and records the ordered marker. Returns `Err(reason)`
-    /// if the (pre-validated) swap still failed.
+    /// `at_frame` and records the ordered marker. Returns whether a swap
+    /// was applied (the gate then stays pending until the pass settles
+    /// it), or `Err(reason)` if the (pre-validated) swap still failed.
     fn try_apply_swap(
         &self,
         detector: &mut Detector,
         at_frame: u64,
         out: &mut Vec<SessionOutput>,
-    ) -> Result<(), String> {
+    ) -> Result<bool, String> {
         let Some(request) = self.pending_swap.take_due(at_frame) else {
-            return Ok(());
+            return Ok(false);
         };
         let model = &request.model;
         detector
@@ -297,7 +299,7 @@ impl SessionCore {
             generation,
             at_frame,
         });
-        Ok(())
+        Ok(true)
     }
 
     /// Drains queued chunks through the detector, at most
@@ -326,6 +328,9 @@ impl SessionCore {
         // accounted as drops so frames_in == processed + dropped holds.
         let mut aborted_tail: u64 = 0;
         let mut popped = 0;
+        // Whether this pass applied a swap, whose gate it must settle
+        // once the marker is published.
+        let mut swapped = false;
         let newly_failed = if state.failed.is_none() {
             let electrodes = self.electrodes;
             let WorkerState { detector, rx, .. } = &mut *state;
@@ -342,10 +347,10 @@ impl SessionCore {
                         // A staged hot-swap takes effect here, between
                         // chunks: frames already drained stay with the
                         // old model, everything after runs the new one.
-                        if let Err(reason) =
-                            self.try_apply_swap(detector, base_processed + frames_done, &mut out)
+                        match self.try_apply_swap(detector, base_processed + frames_done, &mut out)
                         {
-                            return Some(reason);
+                            Ok(applied) => swapped |= applied,
+                            Err(reason) => return Some(reason),
                         }
                         let Some(chunk) = rx.pop() else { break };
                         popped += 1;
@@ -416,6 +421,11 @@ impl SessionCore {
         };
         let worked = frames_done > 0 || newly_failed || discarded > 0 || !out.is_empty();
         self.publish_traced(out, bus, &traced);
+        if swapped {
+            // The marker is in the outbox: only now may a flush that
+            // waits on `swap_pending` stop waiting.
+            self.pending_swap.settle();
+        }
         if worked {
             self.counters
                 .record_drain(timer.commit(), self.telemetry.drain_ticks.get());
@@ -914,9 +924,10 @@ impl EventTap {
         self.core.generation.load(Ordering::Acquire)
     }
 
-    /// Whether a requested hot-swap is staged but not yet applied by the
-    /// session's worker. Useful for draining loops that must not close a
-    /// stream between a swap being staged and its `ModelSwapped` marker
+    /// Whether a requested hot-swap is not yet published: staged, or
+    /// applied by the session's worker but without its `ModelSwapped`
+    /// marker in the outbox yet. Useful for draining loops that must not
+    /// close a stream between a swap being staged and its marker
     /// reaching the outbox.
     pub fn has_pending_swap(&self) -> bool {
         self.core.swap_pending()

@@ -472,7 +472,7 @@ pub struct TelemetrySnapshot {
 
 /// Aggregate service snapshot returned by
 /// [`crate::DetectionService::stats`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ServiceStats {
     /// Sessions currently registered (live or draining).
     pub sessions: usize,

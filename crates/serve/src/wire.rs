@@ -17,7 +17,7 @@
 //! 8+P     8     FNV-1a 64 checksum of bytes [0, 8+P) (u64 LE)
 //! ```
 //!
-//! There is one protocol version: writers stamp [`WIRE_VERSION`] on
+//! There is one protocol version, 7: writers stamp [`WIRE_VERSION`] on
 //! every frame and readers accept exactly that version. Readers gate on
 //! the version byte *before* verifying the checksum, so a frame from any
 //! other protocol version fails with [`ServeError::VersionMismatch`],
@@ -40,7 +40,7 @@
 //! | 0x83 | `Event`            | s → c     | one [`DetectorEvent`] (below), `alarm` absent |
 //! | 0x84 | `Alarm`            | s → c     | one [`DetectorEvent`] with its alarm record |
 //! | 0x85 | `ModelUpdated`     | s → c     | `u64` model generation now running |
-//! | 0x86 | `StatsSnapshot`    | s → c     | one [`WireStats`] (see its docs for the layout) |
+//! | 0x86 | `StatsSnapshot`    | s → c     | `u32` family count, then that many metric families (layout below) |
 //! | 0x87 | `TraceDump`        | s → c     | `u64` recorded, `u64` dropped, `u32` span count, then 40-byte [`WireSpan`] records |
 //! | 0x88 | `HealthSnapshot`   | s → c     | one [`crate::HealthSnapshot`] (layout below) |
 //! | 0x89 | `SessionStatsSnapshot` | s → c | one [`crate::SessionObsSnapshot`] (layout below) |
@@ -71,6 +71,15 @@
 //! verdict, per-rule burn rates, transition journal, and time-series
 //! tail (empty, with `enabled: false`, when [`crate::ServeConfig::health`]
 //! is off).
+//!
+//! A `StatsSnapshot` payload is the [`crate::metrics`] catalogue, every
+//! metric self-described: a `u32` family count, then per family its name
+//! and help (each a `u32` length + UTF-8 bytes), a `u8` kind (0 counter,
+//! 1 gauge, 2 summary; any other byte is corrupt) and a `u32` sample
+//! count. Per sample: its name, a `u32` label count, each label's key and
+//! value strings, then the value's `f64` bits. Readers look samples up by
+//! name ([`crate::metrics::value`]), so a new metric needs no codec
+//! change.
 //!
 //! A `HealthSnapshot` payload is `u8` enabled, `u8` verdict, `u64`
 //! ticks, `u64` transitions total, then three counted lists (`u32`
@@ -117,6 +126,7 @@ use laelaps_core::{Alarm, Classification, DetectorEvent, Label};
 
 use crate::error::{Result, ServeError};
 use crate::health::{HealthSnapshot, HealthTransition, HealthVerdict, RuleEval, SeriesSample};
+use crate::metrics::{MetricFamily, MetricKind, MetricSample};
 use crate::persist::Fnv1a;
 use crate::stats::{SessionObsRow, SessionObsSnapshot, SessionScores, SessionStats};
 
@@ -125,7 +135,7 @@ pub const WIRE_MAGIC: [u8; 2] = *b"LW";
 
 /// The wire format version: stamped on every frame, and the only one a
 /// reader accepts.
-pub const WIRE_VERSION: u8 = 6;
+pub const WIRE_VERSION: u8 = 7;
 
 /// Frame header length: magic + version + tag + payload length.
 pub const HEADER_LEN: usize = 8;
@@ -188,7 +198,7 @@ pub enum Message {
         /// session's electrode count.
         chunk: Box<[f32]>,
     },
-    /// Client → server: ask for a live [`WireStats`] snapshot. Valid only
+    /// Client → server: ask for every service metric. Valid only
     /// as the first message of a connection (which it turns into an
     /// introspection exchange) or later within one.
     StatsRequest,
@@ -243,12 +253,12 @@ pub enum Message {
         /// Generation of the model now running.
         generation: u64,
     },
-    /// Server → client: the live service counters, stage histograms, and
-    /// shard gauges answering a [`Message::StatsRequest`].
+    /// Server → client: every service metric, as the catalogue's
+    /// self-describing families, answering a [`Message::StatsRequest`].
     StatsSnapshot {
-        /// The snapshot (boxed: it is much larger than every other
-        /// variant and only travels on the introspection path).
-        stats: Box<WireStats>,
+        /// The families [`crate::metrics::scrape`] built, in exposition
+        /// order.
+        families: Vec<MetricFamily>,
     },
     /// Server → client: the SLO engine's verdict, rule evaluations,
     /// transition journal, and time-series tail answering a
@@ -281,282 +291,6 @@ pub enum Message {
         /// Human-readable description of what went wrong.
         reason: String,
     },
-}
-
-/// One hot-path stage's latency histogram on the wire: the exact sparse
-/// form of [`laelaps_telemetry::HistogramSnapshot`], so the reader can
-/// reconstruct quantiles with the library's own bucket math.
-///
-/// Layout: `u8` stage discriminant, `u64` count, `u64` sum, `u64` max,
-/// `u32` bucket count, then `(u16 bucket index, u64 count)` pairs ordered
-/// by index.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct WireStage {
-    /// [`laelaps_telemetry::Stage`] discriminant (decode with
-    /// `Stage::ALL.get(stage as usize)`; unknown values are a newer
-    /// peer's stages and safe to skip).
-    pub stage: u8,
-    /// Samples recorded.
-    pub count: u64,
-    /// Exact sum of every recorded value, microseconds.
-    pub sum: u64,
-    /// Exact maximum recorded value, microseconds.
-    pub max: u64,
-    /// Non-empty buckets as `(bucket index, count)`, ordered by index.
-    pub buckets: Vec<(u16, u64)>,
-}
-
-impl WireStage {
-    /// Reassembles the library histogram snapshot this row was built
-    /// from, re-enabling [`laelaps_telemetry::HistogramSnapshot::p99`]
-    /// and friends on the reader's side.
-    pub fn to_histogram(&self) -> laelaps_telemetry::HistogramSnapshot {
-        laelaps_telemetry::HistogramSnapshot {
-            count: self.count,
-            sum: self.sum,
-            max: self.max,
-            buckets: self.buckets.clone(),
-        }
-    }
-}
-
-/// One shard worker's saturation gauges on the wire (mirrors
-/// [`crate::ShardGauges`]).
-///
-/// Layout: `u32` shard, `u32` sessions, `u32` ring depth, `u64`
-/// in-flight frames.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WireShard {
-    /// Shard index.
-    pub shard: u32,
-    /// Live sessions pinned to this shard.
-    pub sessions: u32,
-    /// Chunks currently queued across this shard's session rings.
-    pub ring_depth_chunks: u32,
-    /// Accepted frames not yet processed or discarded on this shard.
-    pub in_flight_frames: u64,
-}
-
-/// The live-introspection payload of [`Message::StatsSnapshot`]: service
-/// totals, the trailing drain rate, tracer accounting, per-stage latency
-/// histograms, and per-shard saturation gauges — everything `laelapsctl`
-/// renders, flattened from [`crate::ServiceStats`].
-///
-/// Layout: `u32` sessions, `u32` retired, eight `u64` words (frames in /
-/// processed / dropped / refused / discarded, events, alarms, max drain
-/// µs), `f64` recent frames/s (IEEE-754 bits), `u8`
-/// telemetry enabled, `u8` trace enabled, four `u64` tracer counters
-/// (minted / recorded / dropped / pinned), `u32` stage count + that many
-/// [`WireStage`] rows, `u32` shard count + that many [`WireShard`] rows.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct WireStats {
-    /// Sessions currently registered (live or draining).
-    pub sessions: u32,
-    /// Sessions already finished and retired from their shard.
-    pub retired_sessions: u32,
-    /// Frames accepted into session queues, live + retired.
-    pub frames_in: u64,
-    /// Frames run through the detector.
-    pub frames_processed: u64,
-    /// Frames rejected by lossy pushes against a full queue.
-    pub frames_dropped: u64,
-    /// Frames offered after a session closed or failed.
-    pub frames_refused: u64,
-    /// Accepted frames thrown away after a detector failure.
-    pub frames_discarded: u64,
-    /// Classification events emitted.
-    pub events_out: u64,
-    /// Alarms raised.
-    pub alarms_out: u64,
-    /// Worst-case wall time of one drain batch, microseconds.
-    pub max_drain_micros: u64,
-    /// Frames drained per second over the trailing 5 s window.
-    pub recent_frames_per_sec: f64,
-    /// Whether stage timing was on ([`crate::ServeConfig::telemetry`]).
-    pub telemetry_enabled: bool,
-    /// Whether per-chunk tracing was on ([`crate::ServeConfig::trace`]).
-    pub trace_enabled: bool,
-    /// Trace ids minted.
-    pub trace_minted: u64,
-    /// Spans written to the flight recorder (including overwritten ones).
-    pub trace_recorded: u64,
-    /// Spans dropped to recorder slot collisions.
-    pub trace_dropped: u64,
-    /// Distinct pinned traces currently remembered.
-    pub trace_pinned: u64,
-    /// One row per hot-path stage with at least one sample.
-    pub stages: Vec<WireStage>,
-    /// One row per worker shard, ordered by shard index.
-    pub shards: Vec<WireShard>,
-}
-
-impl WireStats {
-    /// Flattens a [`crate::ServiceStats`] into its wire form.
-    pub fn from_stats(stats: &crate::ServiceStats) -> Self {
-        let t = &stats.totals;
-        let tel = &stats.telemetry;
-        WireStats {
-            sessions: stats.sessions.min(u32::MAX as usize) as u32,
-            retired_sessions: stats.retired_sessions.min(u32::MAX as usize) as u32,
-            frames_in: t.frames_in,
-            frames_processed: t.frames_processed,
-            frames_dropped: t.frames_dropped,
-            frames_refused: t.frames_refused,
-            frames_discarded: t.frames_discarded,
-            events_out: t.events_out,
-            alarms_out: t.alarms_out,
-            max_drain_micros: t.max_drain_micros,
-            recent_frames_per_sec: tel.recent_frames_per_sec,
-            telemetry_enabled: tel.enabled,
-            trace_enabled: tel.trace.enabled,
-            trace_minted: tel.trace.minted,
-            trace_recorded: tel.trace.recorded,
-            trace_dropped: tel.trace.dropped,
-            trace_pinned: tel.trace.pinned,
-            stages: tel
-                .stages
-                .iter()
-                .filter(|(_, h)| !h.is_empty())
-                .map(|(stage, h)| WireStage {
-                    stage: stage as u8,
-                    count: h.count,
-                    sum: h.sum,
-                    max: h.max,
-                    buckets: h.buckets.clone(),
-                })
-                .collect(),
-            shards: tel
-                .shards
-                .iter()
-                .map(|s| WireShard {
-                    shard: s.shard.min(u32::MAX as usize) as u32,
-                    sessions: s.sessions.min(u32::MAX as usize) as u32,
-                    ring_depth_chunks: s.ring_depth_chunks.min(u32::MAX as usize) as u32,
-                    in_flight_frames: s.in_flight_frames,
-                })
-                .collect(),
-        }
-    }
-
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.sessions.to_le_bytes());
-        out.extend_from_slice(&self.retired_sessions.to_le_bytes());
-        for v in [
-            self.frames_in,
-            self.frames_processed,
-            self.frames_dropped,
-            self.frames_refused,
-            self.frames_discarded,
-            self.events_out,
-            self.alarms_out,
-            self.max_drain_micros,
-        ] {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        out.extend_from_slice(&self.recent_frames_per_sec.to_bits().to_le_bytes());
-        out.push(self.telemetry_enabled as u8);
-        out.push(self.trace_enabled as u8);
-        for v in [
-            self.trace_minted,
-            self.trace_recorded,
-            self.trace_dropped,
-            self.trace_pinned,
-        ] {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        out.extend_from_slice(&(self.stages.len() as u32).to_le_bytes());
-        for stage in &self.stages {
-            out.push(stage.stage);
-            out.extend_from_slice(&stage.count.to_le_bytes());
-            out.extend_from_slice(&stage.sum.to_le_bytes());
-            out.extend_from_slice(&stage.max.to_le_bytes());
-            out.extend_from_slice(&(stage.buckets.len() as u32).to_le_bytes());
-            for &(index, count) in &stage.buckets {
-                out.extend_from_slice(&index.to_le_bytes());
-                out.extend_from_slice(&count.to_le_bytes());
-            }
-        }
-        out.extend_from_slice(&(self.shards.len() as u32).to_le_bytes());
-        for shard in &self.shards {
-            out.extend_from_slice(&shard.shard.to_le_bytes());
-            out.extend_from_slice(&shard.sessions.to_le_bytes());
-            out.extend_from_slice(&shard.ring_depth_chunks.to_le_bytes());
-            out.extend_from_slice(&shard.in_flight_frames.to_le_bytes());
-        }
-    }
-
-    fn decode(cursor: &mut Cursor<'_>) -> Result<Self> {
-        let sessions = cursor.u32()?;
-        let retired_sessions = cursor.u32()?;
-        let frames_in = cursor.u64()?;
-        let frames_processed = cursor.u64()?;
-        let frames_dropped = cursor.u64()?;
-        let frames_refused = cursor.u64()?;
-        let frames_discarded = cursor.u64()?;
-        let events_out = cursor.u64()?;
-        let alarms_out = cursor.u64()?;
-        let max_drain_micros = cursor.u64()?;
-        let recent_frames_per_sec = cursor.f64_bits()?;
-        let telemetry_enabled = cursor.u8()? != 0;
-        let trace_enabled = cursor.u8()? != 0;
-        let trace_minted = cursor.u64()?;
-        let trace_recorded = cursor.u64()?;
-        let trace_dropped = cursor.u64()?;
-        let trace_pinned = cursor.u64()?;
-        let stage_count = cursor.u32()?;
-        let mut stages = Vec::new();
-        for _ in 0..stage_count {
-            let stage = cursor.u8()?;
-            let count = cursor.u64()?;
-            let sum = cursor.u64()?;
-            let max = cursor.u64()?;
-            let bucket_count = cursor.u32()?;
-            let mut buckets = Vec::new();
-            for _ in 0..bucket_count {
-                let index = cursor.u16()?;
-                let count = cursor.u64()?;
-                buckets.push((index, count));
-            }
-            stages.push(WireStage {
-                stage,
-                count,
-                sum,
-                max,
-                buckets,
-            });
-        }
-        let shard_count = cursor.u32()?;
-        let mut shards = Vec::new();
-        for _ in 0..shard_count {
-            shards.push(WireShard {
-                shard: cursor.u32()?,
-                sessions: cursor.u32()?,
-                ring_depth_chunks: cursor.u32()?,
-                in_flight_frames: cursor.u64()?,
-            });
-        }
-        Ok(WireStats {
-            sessions,
-            retired_sessions,
-            frames_in,
-            frames_processed,
-            frames_dropped,
-            frames_refused,
-            frames_discarded,
-            events_out,
-            alarms_out,
-            max_drain_micros,
-            recent_frames_per_sec,
-            telemetry_enabled,
-            trace_enabled,
-            trace_minted,
-            trace_recorded,
-            trace_dropped,
-            trace_pinned,
-            stages,
-            shards,
-        })
-    }
 }
 
 /// One completed hot-path span on the wire — a fixed 40-byte record:
@@ -619,6 +353,61 @@ fn decode_str(cursor: &mut Cursor<'_>, what: &str) -> Result<String> {
     let len = cursor.u32()? as usize;
     String::from_utf8(cursor.take(len)?.to_vec())
         .map_err(|_| corrupt(format!("{what} is not UTF-8")))
+}
+
+fn encode_families(out: &mut Vec<u8>, families: &[MetricFamily]) {
+    out.extend_from_slice(&(families.len() as u32).to_le_bytes());
+    for family in families {
+        encode_str(out, &family.name);
+        encode_str(out, &family.help);
+        out.push(family.kind as u8);
+        out.extend_from_slice(&(family.samples.len() as u32).to_le_bytes());
+        for sample in &family.samples {
+            encode_str(out, &sample.name);
+            out.extend_from_slice(&(sample.labels.len() as u32).to_le_bytes());
+            for (key, value) in &sample.labels {
+                encode_str(out, key);
+                encode_str(out, value);
+            }
+            out.extend_from_slice(&sample.value.to_bits().to_le_bytes());
+        }
+    }
+}
+
+fn decode_families(cursor: &mut Cursor<'_>) -> Result<Vec<MetricFamily>> {
+    let mut families = Vec::new();
+    for _ in 0..cursor.u32()? {
+        let name = decode_str(cursor, "metric family name")?;
+        let help = decode_str(cursor, "metric help")?;
+        let raw = cursor.u8()?;
+        let kind = *MetricKind::ALL
+            .get(raw as usize)
+            .ok_or_else(|| corrupt(format!("unknown metric kind byte 0x{raw:02x}")))?;
+        let mut samples = Vec::new();
+        for _ in 0..cursor.u32()? {
+            let name = decode_str(cursor, "metric sample name")?;
+            let mut labels = Vec::new();
+            for _ in 0..cursor.u32()? {
+                labels.push((
+                    decode_str(cursor, "label key")?,
+                    decode_str(cursor, "label value")?,
+                ));
+            }
+            let value = cursor.f64_bits()?;
+            samples.push(MetricSample {
+                name,
+                labels,
+                value,
+            });
+        }
+        families.push(MetricFamily {
+            name,
+            help,
+            kind,
+            samples,
+        });
+    }
+    Ok(families)
 }
 
 fn encode_health(out: &mut Vec<u8>, health: &HealthSnapshot) {
@@ -914,9 +703,7 @@ impl Message {
             Message::ModelUpdated { generation } => {
                 out.extend_from_slice(&generation.to_le_bytes());
             }
-            Message::StatsSnapshot { stats } => {
-                stats.encode_into(&mut out);
-            }
+            Message::StatsSnapshot { families } => encode_families(&mut out, families),
             Message::HealthSnapshot { health } => encode_health(&mut out, health),
             Message::SessionStatsSnapshot { sessions } => encode_session_obs(&mut out, sessions),
             Message::TraceDump {
@@ -1252,7 +1039,7 @@ fn decode_payload(tag: u8, payload: &[u8]) -> Result<Message> {
             generation: cursor.u64()?,
         },
         TAG_STATS_SNAPSHOT => Message::StatsSnapshot {
-            stats: Box::new(WireStats::decode(&mut cursor)?),
+            families: decode_families(&mut cursor)?,
         },
         TAG_HEALTH_SNAPSHOT => Message::HealthSnapshot {
             health: Box::new(decode_health(&mut cursor)?),
@@ -1318,56 +1105,11 @@ mod tests {
         }
     }
 
-    fn sample_stats() -> WireStats {
-        WireStats {
-            sessions: 3,
-            retired_sessions: 1,
-            frames_in: 4096,
-            frames_processed: 4000,
-            frames_dropped: 5,
-            frames_refused: 2,
-            frames_discarded: 89,
-            events_out: 15,
-            alarms_out: 1,
-            max_drain_micros: 731,
-            recent_frames_per_sec: 512.25,
-            telemetry_enabled: true,
-            trace_enabled: true,
-            trace_minted: 4103,
-            trace_recorded: 16412,
-            trace_dropped: 2,
-            trace_pinned: 7,
-            stages: vec![
-                WireStage {
-                    stage: 0,
-                    count: 100,
-                    sum: 5_000,
-                    max: 90,
-                    buckets: vec![(3, 10), (17, 90)],
-                },
-                WireStage {
-                    stage: 3,
-                    count: 1,
-                    sum: 7,
-                    max: 7,
-                    buckets: vec![(7, 1)],
-                },
-            ],
-            shards: vec![
-                WireShard {
-                    shard: 0,
-                    sessions: 2,
-                    ring_depth_chunks: 5,
-                    in_flight_frames: 1280,
-                },
-                WireShard {
-                    shard: 1,
-                    sessions: 1,
-                    ring_depth_chunks: 0,
-                    in_flight_frames: 0,
-                },
-            ],
-        }
+    /// The catalogue over a session-layer snapshot with one heavy
+    /// hitter: labelled and unlabelled samples, and families without any.
+    fn sample_families() -> Vec<MetricFamily> {
+        let sessions = sample_session_stats();
+        crate::metrics::scrape(&crate::ServiceStats::default(), &sample_health(), &sessions)
     }
 
     fn sample_health() -> HealthSnapshot {
@@ -1494,10 +1236,10 @@ mod tests {
             Message::TraceDumpRequest { limit: 0 },
             Message::TraceDumpRequest { limit: 128 },
             Message::StatsSnapshot {
-                stats: Box::new(sample_stats()),
+                families: sample_families(),
             },
             Message::StatsSnapshot {
-                stats: Box::default(),
+                families: Vec::new(),
             },
             Message::TraceDump {
                 recorded: 900,

@@ -1,8 +1,8 @@
 //! Model-checked concurrency tests for the serve hot path: the SPSC
 //! [`laelaps_serve::ring`], the [`laelaps_serve::swapgate::SwapGate`]
-//! hot-swap protocol, and the [`laelaps_serve::ready`] queue that wakes
-//! shard workers, explored across thread interleavings by
-//! `laelaps-check`.
+//! hot-swap protocol and the flush wait built on it, and the
+//! [`laelaps_serve::ready`] queue that wakes shard workers, explored
+//! across thread interleavings by `laelaps-check`.
 //!
 //! Compiled (and meaningful) only under `RUSTFLAGS="--cfg laelaps_check"`;
 //! in normal builds this file is empty. A reported failure prints a
@@ -229,6 +229,7 @@ fn swap_gate_applies_exactly_once_at_the_barrier() {
         let (at, v) = applied[0];
         assert_eq!(v, 7);
         assert!(at >= 1, "swap applied before its barrier (at {at})");
+        gate.settle();
         assert!(!gate.is_pending());
     });
 }
@@ -246,6 +247,60 @@ fn swap_gate_latest_wins_under_racing_stages() {
         assert!(first == 1 || first == 2);
         assert_eq!(gate.take_due(u64::MAX), None, "only one value survives");
     });
+}
+
+/// The flush protocol over the gate: the applier (this thread) takes a
+/// due swap, appends its marker to the outbox and settles; a flusher
+/// waits until the gate is no longer pending and must then find the
+/// marker. With `settle_first` the applier settles before publishing —
+/// the order a gate that ends the pending state at the take implies.
+fn flush_after_swap(settle_first: bool) {
+    let gate = Arc::new(SwapGate::new());
+    let outbox = Arc::new(Mutex::new(Vec::new()));
+    gate.stage(7u32, 0);
+    let flusher = {
+        let (gate, outbox) = (Arc::clone(&gate), Arc::clone(&outbox));
+        thread::spawn(move || {
+            while gate.is_pending() {
+                thread::yield_now();
+            }
+            assert_eq!(
+                *outbox.lock().unwrap(),
+                vec![7],
+                "flush returned before the swap's marker was published"
+            );
+        })
+    };
+    let swap = gate.take_due(0).expect("due at its barrier");
+    if settle_first {
+        // BUG under test: the session settles after publishing.
+        gate.settle();
+        outbox.lock().unwrap().push(swap);
+    } else {
+        outbox.lock().unwrap().push(swap);
+        gate.settle();
+    }
+    flusher.join().unwrap();
+}
+
+#[test]
+fn flush_waits_for_the_swap_marker() {
+    quick().check(|| flush_after_swap(false));
+}
+
+/// The randomized phase finds this at seed 4; replay it with
+/// `LAELAPS_CHECK_SEED=4 RUSTFLAGS="--cfg laelaps_check" cargo test -p
+/// laelaps-serve --test model -- settling_before_publishing`.
+#[test]
+fn settling_before_publishing_lets_flush_miss_the_marker() {
+    let failure = seeded()
+        .find_failure(|| flush_after_swap(true))
+        .expect("settling before the publish must let flush miss the marker");
+    assert!(
+        failure.message.contains("before the swap's marker"),
+        "unexpected failure kind: {failure}"
+    );
+    assert!(failure.seed.is_some(), "random schedules carry a seed");
 }
 
 // ---------------------------------------------------------------------------

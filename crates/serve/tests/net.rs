@@ -12,6 +12,7 @@ use std::time::Duration;
 use common::{interleave, trained_model, two_state_signal};
 use laelaps_core::{Detector, Label};
 use laelaps_serve::adapt::AdaptationEngine;
+use laelaps_serve::metrics::value;
 use laelaps_serve::net::{IngestClient, IngestServer};
 use laelaps_serve::wire::{read_message, write_message, Message, WIRE_VERSION};
 use laelaps_serve::{DetectionService, ModelRegistry, ServeConfig, ServeError, TraceConfig};
@@ -419,6 +420,24 @@ fn tcp_feedback_retrains_hot_swaps_and_streams_model_updated() {
     assert_eq!(engine.stats().retrains, 1);
     assert_eq!(engine.stats().failures, 0, "{:?}", engine.last_error());
 
+    // The registry and adaptation counters reach an operator's
+    // StatsRequest.
+    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    write_message(&mut stream, &Message::StatsRequest).unwrap();
+    let Some(Message::StatsSnapshot { families }) = read_message(&mut stream).unwrap() else {
+        panic!("expected a StatsSnapshot");
+    };
+    let metric = |name: &str, labels: &[(&str, &str)]| {
+        value(&families, name, labels).unwrap_or_else(|| panic!("{name} {labels:?} is missing"))
+    };
+    assert_eq!(metric("adapt_feedback_total", &[]), 1.0);
+    assert_eq!(metric("adapt_retrains_total", &[]), 1.0);
+    assert_eq!(metric("adapt_failures_total", &[]), 0.0);
+    let loads = metric("registry_loads_total", &[("result", "hit")])
+        + metric("registry_loads_total", &[("result", "miss")]);
+    assert!(loads >= 1.0, "registry loads: {loads}");
+    write_message(&mut stream, &Message::Close).unwrap();
+
     drop(server);
     let _ = std::fs::remove_dir_all(registry.dir());
 }
@@ -450,13 +469,27 @@ fn introspection_connection_answers_stats_and_trace_dumps_live() {
 
     let mut stream = TcpStream::connect(addr).expect("introspection connects");
     write_message(&mut stream, &Message::StatsRequest).unwrap();
-    let Some(Message::StatsSnapshot { stats }) = read_message(&mut stream).unwrap() else {
+    let Some(Message::StatsSnapshot { families }) = read_message(&mut stream).unwrap() else {
         panic!("expected a StatsSnapshot");
     };
-    assert_eq!(stats.frames_in, frames as u64, "live totals come back");
-    assert_eq!(stats.frames_processed, frames as u64);
-    assert!(stats.trace_enabled, "trace accounting is surfaced");
-    assert!(stats.trace_minted > 0, "accepted chunks minted trace ids");
+    assert_eq!(
+        value(&families, "frames_total", &[("outcome", "in")]),
+        Some(frames as f64),
+        "live totals come back"
+    );
+    assert_eq!(
+        value(&families, "frames_total", &[("outcome", "processed")]),
+        Some(frames as f64)
+    );
+    assert_eq!(
+        value(&families, "trace_enabled", &[]),
+        Some(1.0),
+        "trace accounting is surfaced"
+    );
+    assert!(
+        value(&families, "trace_spans_total", &[("status", "minted")]).is_some_and(|v| v > 0.0),
+        "accepted chunks minted trace ids"
+    );
 
     // The same connection keeps answering until the peer closes.
     write_message(&mut stream, &Message::TraceDumpRequest { limit: 0 }).unwrap();

@@ -2,6 +2,7 @@
 //! truncated, and future-version frames are rejected with the right
 //! errors, and nothing malformed reaches the message layer.
 
+use laelaps_serve::metrics::{MetricFamily, MetricKind, MetricSample};
 use laelaps_serve::wire::{
     encode_message, read_message, write_message, Message, WireSpan, CHECKSUM_LEN, HEADER_LEN,
     MAX_PAYLOAD, WIRE_VERSION,
@@ -368,6 +369,40 @@ fn session_stats_frame() -> Vec<u8> {
     })
 }
 
+const FAMILY: &str = "frames_total";
+const HELP: &str = "Frames by outcome.";
+
+/// A populated catalogue: a counter whose one sample carries a label,
+/// then an unlabelled gauge.
+fn stats_families() -> Vec<MetricFamily> {
+    vec![
+        MetricFamily {
+            name: FAMILY.into(),
+            help: HELP.into(),
+            kind: MetricKind::Counter,
+            samples: vec![MetricSample {
+                name: FAMILY.into(),
+                labels: vec![("outcome".into(), "in".into())],
+                value: 4096.0,
+            }],
+        },
+        MetricFamily {
+            name: "recent_frames_per_sec".into(),
+            help: "Frames drained per second.".into(),
+            kind: MetricKind::Gauge,
+            samples: vec![MetricSample {
+                name: "recent_frames_per_sec".into(),
+                labels: Vec::new(),
+                value: 512.25,
+            }],
+        },
+    ]
+}
+
+fn stats_frame(families: Vec<MetricFamily>) -> Vec<u8> {
+    encode_message(&Message::StatsSnapshot { families })
+}
+
 #[test]
 fn v3_introspection_frames_survive_truncation_like_v1() {
     // The v1/v2 truncation guarantee holds for the new introspection
@@ -375,9 +410,8 @@ fn v3_introspection_frames_survive_truncation_like_v1() {
     // and the empty prefix is a clean end of stream.
     for frame in [
         trace_dump_frame(),
-        encode_message(&Message::StatsSnapshot {
-            stats: Box::default(),
-        }),
+        stats_frame(Vec::new()),
+        stats_frame(stats_families()),
         health_frame(health(2, 2, 2)),
         session_stats_frame(),
     ] {
@@ -396,6 +430,7 @@ fn v3_introspection_frames_survive_truncation_like_v1() {
 fn v3_introspection_frames_detect_bit_flips_like_v1() {
     for frame in [
         trace_dump_frame(),
+        stats_frame(stats_families()),
         health_frame(health(2, 2, 2)),
         session_stats_frame(),
     ] {
@@ -452,6 +487,80 @@ fn hostile_snapshot_counts_are_rejected_without_allocating() {
             "{what}: unexpected error: {err}"
         );
     }
+}
+
+/// Payload offsets inside the first family of [`stats_families`]: the
+/// family count, then the name and help strings (`u32` length + bytes),
+/// the kind byte, the sample count, the sample's name, then its label
+/// count.
+const NAME_LEN_AT: usize = 4;
+const KIND_AT: usize = NAME_LEN_AT + 4 + FAMILY.len() + 4 + HELP.len();
+const SAMPLE_COUNT_AT: usize = KIND_AT + 1;
+const LABEL_COUNT_AT: usize = SAMPLE_COUNT_AT + 4 + 4 + FAMILY.len();
+
+#[test]
+fn hostile_metric_counts_are_rejected_without_allocating() {
+    // Only the first family goes on the wire, so each patched count runs
+    // the decoder off the end of the payload instead of into a
+    // neighbour's bytes.
+    for (what, offset) in [
+        ("family count", 0),
+        ("family name length", NAME_LEN_AT),
+        ("sample count", SAMPLE_COUNT_AT),
+        ("label count", LABEL_COUNT_AT),
+    ] {
+        let mut frame = stats_frame(stats_families()[..1].to_vec());
+        let at = HEADER_LEN + offset;
+        assert_ne!(frame[at..at + 4], [0; 4], "{what}: patching a real count");
+        frame[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        reseal(&mut frame);
+        let err = read_message(&mut frame.as_slice()).unwrap_err();
+        assert!(
+            matches!(err, ServeError::Corrupt { ref reason } if reason.contains("shorter")),
+            "{what}: unexpected error: {err}"
+        );
+    }
+}
+
+#[test]
+fn unknown_metric_kind_byte_is_corrupt() {
+    let mut frame = stats_frame(stats_families());
+    assert_eq!(frame[HEADER_LEN + KIND_AT], 0, "the counter's kind byte");
+    frame[HEADER_LEN + KIND_AT] = 3;
+    reseal(&mut frame);
+    let err = read_message(&mut frame.as_slice()).unwrap_err();
+    assert!(
+        matches!(err, ServeError::Corrupt { ref reason } if reason.contains("kind")),
+        "unexpected error: {err}"
+    );
+}
+
+#[test]
+fn non_finite_metric_values_roundtrip_bit_exactly() {
+    let values = [
+        f64::NAN,
+        f64::from_bits(0xfff4_dead_beef_0001), // a negative, signalling NaN payload
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        -0.0,
+    ];
+    let mut families = stats_families();
+    families[1].samples = values
+        .iter()
+        .map(|&value| MetricSample {
+            name: "recent_frames_per_sec".into(),
+            labels: Vec::new(),
+            value,
+        })
+        .collect();
+    let frame = stats_frame(families);
+    let Some(Message::StatsSnapshot { families: back }) =
+        read_message(&mut frame.as_slice()).unwrap()
+    else {
+        panic!("expected a StatsSnapshot");
+    };
+    let bits: Vec<u64> = back[1].samples.iter().map(|s| s.value.to_bits()).collect();
+    assert_eq!(bits, values.map(f64::to_bits));
 }
 
 #[test]

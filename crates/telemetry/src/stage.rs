@@ -204,6 +204,22 @@ pub struct StagesSnapshot {
 }
 
 impl StagesSnapshot {
+    /// A snapshot holding `histograms` for their stages and empty
+    /// histograms for every other stage — for fixtures and tests.
+    pub fn from_histograms(
+        enabled: bool,
+        histograms: impl IntoIterator<Item = (Stage, HistogramSnapshot)>,
+    ) -> Self {
+        let mut snapshot = StagesSnapshot {
+            enabled,
+            ..Default::default()
+        };
+        for (stage, histogram) in histograms {
+            snapshot.stages[stage as usize] = histogram;
+        }
+        snapshot
+    }
+
     /// The histogram snapshot of one stage.
     pub fn get(&self, stage: Stage) -> &HistogramSnapshot {
         &self.stages[stage as usize]
