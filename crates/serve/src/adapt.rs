@@ -59,10 +59,10 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use laelaps_core::{Label, TrainingData};
-use laelaps_telemetry::{SpanContext, Stage, TraceHandle};
+use laelaps_telemetry::{Mark, SpanContext, Stage};
 
 use crate::error::{Result, ServeError};
 use crate::persist::ModelRegistry;
@@ -97,12 +97,12 @@ pub struct AdaptStats {
     pub failures: u64,
 }
 
-/// One queued feedback item: the segment, its submission instant
-/// (`None` with telemetry off) so the applied swap can record the full
-/// feedback→hot-swap propagation latency, and its causal trace (`None`
-/// with tracing off) so the retrain and applied swap record spans on
-/// one timeline with the chunk traces.
-type QueuedFeedback = (FeedbackSegment, Option<Instant>, Option<TraceHandle>);
+/// One queued feedback item: the segment and the mark opened at its
+/// submission. The applied swap closes that mark as the full
+/// feedback→hot-swap propagation, and its trace (none with tracing off)
+/// puts the retrain and the applied swap on one timeline with the chunk
+/// traces.
+type QueuedFeedback = (FeedbackSegment, Mark);
 
 struct EngineInner {
     service: Arc<DetectionService>,
@@ -125,14 +125,9 @@ struct EngineInner {
 
 impl EngineInner {
     /// Absorb → publish → stage swaps, for one feedback segment.
-    /// `origin` is the segment's submission instant; swaps staged here
+    /// `submitted` is the segment's submission mark; swaps staged here
     /// carry it so [`Stage::AdaptPropagate`] spans submit → applied.
-    fn process(
-        &self,
-        feedback: FeedbackSegment,
-        origin: Option<Instant>,
-        trace: Option<TraceHandle>,
-    ) -> Result<()> {
+    fn process(&self, feedback: FeedbackSegment, submitted: Mark) -> Result<()> {
         let model = self.registry.load(&feedback.patient)?;
         let electrodes = model.electrodes();
         if feedback.samples.is_empty() || !feedback.samples.len().is_multiple_of(electrodes) {
@@ -178,12 +173,9 @@ impl EngineInner {
             });
         }
         self.registry.publish(&feedback.patient, &updated)?;
-        let swapped = self.service.swap_patient_model_from(
-            &feedback.patient,
-            &Arc::new(updated),
-            origin,
-            trace,
-        );
+        let swapped =
+            self.service
+                .swap_patient_model_from(&feedback.patient, &Arc::new(updated), submitted);
         self.retrains.fetch_add(1, Ordering::Relaxed);
         self.swaps_requested
             .fetch_add(swapped as u64, Ordering::Relaxed);
@@ -211,27 +203,16 @@ impl EngineInner {
                     queue = guard;
                 }
             };
-            let Some((item, origin, trace)) = item else {
+            let Some((item, submitted)) = item else {
                 return;
             };
-            let telemetry = Arc::clone(self.service.telemetry());
+            let clock = &self.service.telemetry().clock;
             // Retrain span: feedback has no session/shard attribution yet
             // (it may stage into many sessions), so the context is zero;
             // the applied swap's AdaptPropagate span carries the session.
-            let retrain_start = trace.map(|_| telemetry.tracer.now_micros());
-            let timer = telemetry.stages.timer(Stage::AdaptRetrain);
-            let outcome = self.process(item, origin, trace);
-            timer.commit();
-            if let (Some(t), Some(start)) = (trace, retrain_start) {
-                let dur = telemetry.tracer.now_micros().saturating_sub(start);
-                telemetry.tracer.record(
-                    t.id,
-                    Stage::AdaptRetrain,
-                    SpanContext::default(),
-                    start,
-                    dur,
-                );
-            }
+            let retrain = clock.mark(submitted.trace());
+            let outcome = self.process(item, submitted);
+            clock.close(Stage::AdaptRetrain, retrain, SpanContext::default());
             if let Err(e) = outcome {
                 self.failures.fetch_add(1, Ordering::Relaxed);
                 *self.last_error.lock().expect("last error poisoned") = Some(e.to_string());
@@ -334,17 +315,16 @@ impl AdaptationEngine {
             });
         }
         self.inner.feedback_in.fetch_add(1, Ordering::Relaxed);
-        // Timestamp at submission, so the propagation span includes the
-        // queue wait and retraining, not just the swap staging. The trace
-        // (when tracing is on) follows the same life: queue → retrain →
-        // staged swap → applied swap.
-        let origin = self.inner.service.telemetry().stages.now();
-        let trace = self.inner.service.telemetry().tracer.begin();
+        // Mark at submission, so the propagation span includes the queue
+        // wait and retraining, not just the swap staging. The trace (when
+        // tracing is on) follows the same life: queue → retrain → staged
+        // swap → applied swap.
+        let submitted = self.inner.service.telemetry().clock.begin();
         self.inner
             .queue
             .lock()
             .expect("adapt queue poisoned")
-            .push_back((feedback, origin, trace));
+            .push_back((feedback, submitted));
         self.inner.wake.notify_all();
         Ok(())
     }

@@ -922,7 +922,7 @@ fn rate_burns(
 
 #[cfg(test)]
 mod tests {
-    use laelaps_telemetry::{StageSet, TelemetryConfig};
+    use laelaps_telemetry::Histogram;
 
     use super::*;
 
@@ -1208,7 +1208,7 @@ mod tests {
         // and records one drain span of 1000 + t µs (a new maximum, so
         // its p99 is exact); tick 10 also drops 5000 frames.
         let state = HealthState::new(HealthConfig::enabled(), 1);
-        let stages = StageSet::new(&TelemetryConfig::default());
+        let drain = Histogram::new();
         let mut frames = [0u64; 5];
         for t in 0..41u64 {
             if t > 0 {
@@ -1218,9 +1218,9 @@ mod tests {
             if t == 10 {
                 frames[W_FRAMES_DROPPED] += 5_000;
             }
-            stages.record_micros(Stage::Drain, 1_000 + t);
+            drain.record(1_000 + t);
             state.tick(HealthInput {
-                stages: stages.snapshot(),
+                stages: StagesSnapshot::from_histograms(true, [(Stage::Drain, drain.snapshot())]),
                 ..input(frames, (t % 7) as usize, 0, t)
             });
         }

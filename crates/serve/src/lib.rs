@@ -73,7 +73,10 @@
 //!   `laelaps-telemetry`: every hot-path stage feeds a lock-free
 //!   log-bucketed histogram (p50/p99/p999 within 1/16 relative error,
 //!   exact max, snapshots merge exactly), and a sliding-window rate
-//!   meter tracks recent drain throughput. The instrumented pipeline:
+//!   meter tracks recent drain throughput. All of it is timed on one
+//!   [`laelaps_telemetry::Clock`]: a chunk's mark rides its ring slot,
+//!   and one close per stage boundary records the histogram sample and
+//!   the trace span alike. The instrumented pipeline:
 //!
 //!   ```text
 //!   TCP reader          ring             shard worker
@@ -83,7 +86,7 @@
 //!                                             per session)
 //!
 //!   feedback: adapt_retrain (absorb + republish) →
-//!             adapt_propagate (feedback dequeue → applied swap)
+//!             adapt_propagate (feedback submission → applied swap)
 //!
 //!   health:   evaluator tick (off the hot path; workers only bump a
 //!             heartbeat) → windowed deltas → SLO burn rates → verdict
@@ -109,7 +112,7 @@
 //!
 //!   On top of the aggregate histograms, [`ServeConfig::trace`] turns on
 //!   **per-chunk causal tracing**: every accepted chunk gets a trace id
-//!   at mint (wire decode / push), and each hot-path stage it crosses
+//!   when its frame arrives (TCP) or is pushed, and each stage it crosses
 //!   records a span — with session, shard, and model-generation
 //!   attribution — into a fixed-size, wait-free flight recorder ring
 //!   ([`laelaps_telemetry::FlightRecorder`], overwrite-oldest). Anomalies

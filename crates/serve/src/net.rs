@@ -48,7 +48,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use laelaps_core::{DetectorEvent, Label};
-use laelaps_telemetry::{Stage, StageSet};
+use laelaps_telemetry::{Clock, SpanContext, Stage};
 
 use crate::adapt::{AdaptationEngine, FeedbackSegment};
 use crate::error::{Result, ServeError};
@@ -312,21 +312,24 @@ fn serve_connection(
 
     // Stage timing for this connection's reads: wire decode (header →
     // parsed message) and ring enqueue (including throttle stalls).
-    let telemetry = Arc::clone(service.telemetry());
-    let stages = &telemetry.stages;
+    let clock = &service.telemetry().clock;
 
     // The first message decides what this connection is: a Hello opens a
     // streaming session; an introspection request turns it into a
     // read-only stats/trace exchange that never touches the session or
-    // model layers.
-    let first = read_message_spanned(&mut reader, Some(stages));
-    if let Ok(Some((
+    // model layers. No session exists yet to attribute its decode to.
+    let first = read_message_spanned(&mut reader, Some(clock)).map(|first| {
+        first.map(|(message, decode)| {
+            clock.close(Stage::WireDecode, decode, SpanContext::default());
+            message
+        })
+    });
+    if let Ok(Some(
         request @ (Message::StatsRequest
         | Message::TraceDumpRequest { .. }
         | Message::HealthRequest
         | Message::SessionStatsRequest { .. }),
-        _decode_us,
-    ))) = first
+    )) = first
     {
         return serve_introspection(request, &mut reader, &writer, service, registry, engine);
     }
@@ -371,7 +374,7 @@ fn serve_connection(
         engine,
         shutdown,
         throttles,
-        stages,
+        clock,
     );
     handle.close();
     if outcome.is_ok() {
@@ -406,11 +409,11 @@ fn serve_connection(
 /// Turns a connection's already-read first message into a live session:
 /// it must be the opening `Hello`.
 fn open_from_hello(
-    first: Result<Option<(Message, u64)>>,
+    first: Result<Option<Message>>,
     service: &DetectionService,
     registry: &ModelRegistry,
 ) -> Result<SessionHandle> {
-    let (hello, _decode_us) = first?.ok_or_else(|| ServeError::Protocol {
+    let hello = first?.ok_or_else(|| ServeError::Protocol {
         reason: "connection closed before Hello".into(),
     })?;
     let Message::Hello {
@@ -519,25 +522,32 @@ fn read_loop(
     engine: Option<&AdaptationEngine>,
     shutdown: &Arc<AtomicBool>,
     throttles: &AtomicU64,
-    stages: &StageSet,
+    clock: &Clock,
 ) -> Result<()> {
     loop {
         if shutdown.load(Ordering::Acquire) {
             return Ok(());
         }
-        match read_message_spanned(reader, Some(stages))? {
-            // Client EOF without Close: treat as Close — the frames it
-            // sent are still drained and their events delivered.
-            None | Some((Message::Close, _)) => return Ok(()),
-            Some((Message::Frames { chunk }, decode_us)) => {
+        // Client EOF without Close: treat as Close — the frames it sent
+        // are still drained and their events delivered.
+        let Some((message, decode)) = read_message_spanned(reader, Some(clock))? else {
+            return Ok(());
+        };
+        let ctx = handle.core.span_ctx();
+        // The decode's end opens the next interval: for a chunk, its
+        // acceptance into the ring.
+        let accept = clock.close(Stage::WireDecode, decode, ctx);
+        match message {
+            Message::Close => return Ok(()),
+            Message::Frames { chunk } => {
                 // Spans acceptance into the ring *including* throttle
                 // stalls — the queueing delay a remote producer sees.
-                // Dropped (unrecorded) if the connection dies mid-push.
-                let timer = stages.timer(Stage::RingEnqueue);
+                // Unrecorded if the connection dies mid-push. A retried
+                // push keeps the chunk's trace.
                 let mut pending = chunk;
                 let mut throttled = false;
                 loop {
-                    match handle.push_with_wire_span(pending, decode_us) {
+                    match handle.try_push_traced(pending, accept.trace()) {
                         Ok(()) => break,
                         Err(PushError::Full(back)) => {
                             pending = back;
@@ -569,9 +579,9 @@ fn read_loop(
                         }
                     }
                 }
-                timer.commit();
+                clock.close(Stage::RingEnqueue, accept.untraced(), ctx);
             }
-            Some((Message::Feedback { label, chunk }, _)) => {
+            Message::Feedback { label, chunk } => {
                 let Some(engine) = engine else {
                     return Err(ServeError::Protocol {
                         reason: "this server has no adaptation engine; \
@@ -595,8 +605,8 @@ fn read_loop(
                     samples: chunk,
                 })?;
             }
-            Some((Message::Error { reason }, _)) => return Err(ServeError::Remote { reason }),
-            Some((other, _)) => {
+            Message::Error { reason } => return Err(ServeError::Remote { reason }),
+            other => {
                 return Err(ServeError::Protocol {
                     reason: format!("unexpected client message: {other:?}"),
                 })

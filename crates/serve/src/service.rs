@@ -12,7 +12,7 @@ use laelaps_check::thread;
 
 use laelaps_core::{Detector, DetectorEvent, PatientModel};
 use laelaps_eval::parallel::{default_threads, ShardedPool};
-use laelaps_telemetry::{TelemetryConfig, TraceConfig, TraceHandle, TraceSnapshot};
+use laelaps_telemetry::{Mark, TelemetryConfig, TraceConfig, TraceSnapshot};
 
 use crate::error::Result;
 use crate::health::SessionHealthSample;
@@ -23,7 +23,7 @@ use crate::ring;
 use crate::session::{SessionCore, SessionHandle, SessionId, WorkerState};
 use crate::stats::{
     RetiredStats, ServiceStats, ServiceTelemetry, SessionObsConfig, SessionObsRow,
-    SessionObsSnapshot, SessionScores, SessionStatsEntry, ShardGauges,
+    SessionObsSnapshot, SessionScores, SessionStats, SessionStatsEntry, ShardGauges,
 };
 
 /// An alarm surfaced on the service-wide bus.
@@ -327,28 +327,35 @@ impl ServiceInner {
             .collect()
     }
 
+    /// Totals over every session the service ever ran, and the retired
+    /// count, read under the lock order retirement takes (retired →
+    /// shard): a session retiring mid-walk is counted exactly once, in
+    /// its shard or in the retired totals. `visit` sees each live session
+    /// with the snapshot that went into the totals.
+    fn walk_sessions(
+        &self,
+        mut visit: impl FnMut(&SessionCore, &SessionStats),
+    ) -> (SessionStats, usize) {
+        let retired = self.retired.lock().expect("retired poisoned");
+        let mut totals = retired.totals;
+        for core in self.all_sessions() {
+            let stats = core.counters.snapshot();
+            totals.absorb(&stats);
+            visit(&core, &stats);
+        }
+        // A closed handle can refuse frames after its session retired;
+        // refusals are counted service-wide.
+        totals.frames_refused = self.telemetry.frames_refused.get();
+        (totals, retired.sessions)
+    }
+
     /// One health-evaluation observation: cumulative frame counters
     /// (live sessions + everything retired), cumulative stage
     /// histograms, per-shard gauges, the heartbeat counters, and a
     /// bounded set of per-session samples for the session-level rules.
     fn health_input(&self, health: &HealthState) -> HealthInput {
-        let retired = *self.retired.lock().expect("retired poisoned");
-        let mut frames = [
-            retired.totals.frames_in,
-            retired.totals.frames_processed,
-            retired.totals.frames_dropped,
-            // Refusals can outlive a session's retirement; count them
-            // service-wide.
-            self.telemetry.frames_refused.get(),
-            retired.totals.frames_discarded,
-        ];
         let mut samples: Vec<SessionHealthSample> = Vec::new();
-        for core in self.all_sessions() {
-            let s = core.counters.snapshot();
-            frames[0] += s.frames_in;
-            frames[1] += s.frames_processed;
-            frames[2] += s.frames_dropped;
-            frames[4] += s.frames_discarded;
+        let (totals, _) = self.walk_sessions(|core, s| {
             samples.push(SessionHealthSample {
                 session: core.id,
                 shard: core.shard,
@@ -361,7 +368,7 @@ impl ServiceInner {
                     .saturating_sub(s.frames_discarded),
                 ewma_drain_us: s.ewma_drain_us,
             });
-        }
+        });
         // Bound the evaluator's per-tick state: keep the worst-looking
         // sessions only (most in-flight, then most discarded, then
         // slowest). A stalled session's backlog grows, so it always
@@ -375,8 +382,14 @@ impl ServiceInner {
         });
         samples.truncate(crate::health::SESSION_SAMPLE_CAP);
         HealthInput {
-            frames,
-            stages: self.telemetry.stages.snapshot(),
+            frames: [
+                totals.frames_in,
+                totals.frames_processed,
+                totals.frames_dropped,
+                totals.frames_refused,
+                totals.frames_discarded,
+            ],
+            stages: self.telemetry.clock.stages.snapshot(),
             shards: self.shard_gauges(),
             heartbeats: health.heartbeat_counts(),
             sessions: samples,
@@ -720,28 +733,23 @@ impl DetectionService {
     /// different configuration, already finished, or failed) are
     /// skipped, not failed.
     pub fn swap_patient_model(&self, patient: &str, model: &Arc<PatientModel>) -> usize {
-        self.swap_patient_model_from(
-            patient,
-            model,
-            self.inner.telemetry.stages.now(),
-            self.inner.telemetry.tracer.begin(),
-        )
+        self.swap_patient_model_from(patient, model, self.inner.telemetry.clock.begin())
     }
 
     /// [`DetectionService::swap_patient_model`] with an explicit
-    /// propagation origin (and the feedback's trace), so the adaptation
+    /// propagation mark (carrying the feedback's trace), so the adaptation
     /// engine can charge the whole feedback→swap span to
-    /// [`Stage::AdaptPropagate`] and keep the causal trace intact.
+    /// [`laelaps_telemetry::Stage::AdaptPropagate`] and keep the causal
+    /// trace intact.
     pub(crate) fn swap_patient_model_from(
         &self,
         patient: &str,
         model: &Arc<PatientModel>,
-        origin: Option<std::time::Instant>,
-        trace: Option<TraceHandle>,
+        mark: Mark,
     ) -> usize {
         let mut swapped = 0;
         for core in self.inner.all_sessions() {
-            if core.patient == patient && core.request_swap_from(model, origin, trace).is_ok() {
+            if core.patient == patient && core.request_swap_from(model, mark).is_ok() {
                 self.schedule(&core);
                 swapped += 1;
             }
@@ -771,7 +779,7 @@ impl DetectionService {
     /// Feed the spans to a Chrome-trace exporter to view the per-chunk
     /// timeline in Perfetto.
     pub fn trace_snapshot(&self) -> TraceSnapshot {
-        self.inner.telemetry.tracer.snapshot()
+        self.inner.telemetry.clock.tracer.snapshot()
     }
 
     /// Point-in-time health view: the folded service verdict, every
@@ -868,31 +876,26 @@ impl DetectionService {
     /// Counter snapshot: live sessions individually, plus totals that
     /// include every session the service ever retired.
     pub fn stats(&self) -> ServiceStats {
-        // Hold the retired lock while walking the shards (lock order
-        // retired → shard, matching retirement) so a finishing session is
-        // counted exactly once — in its shard or in the retired totals.
-        let retired_guard = self.inner.retired.lock().expect("retired poisoned");
-        let entries = self
-            .inner
-            .all_sessions()
-            .into_iter()
-            .map(|core| SessionStatsEntry {
+        let mut per_session = Vec::new();
+        let (totals, retired_sessions) = self.inner.walk_sessions(|core, stats| {
+            per_session.push(SessionStatsEntry {
                 session: core.id,
                 patient: core.patient.clone(),
                 shard: core.shard,
                 generation: core.generation.load(Ordering::Acquire),
-                stats: core.counters.snapshot(),
-            })
-            .collect();
-        let retired = *retired_guard;
-        drop(retired_guard);
-        let shard_gauges = self.inner.shard_gauges();
-        let mut stats = ServiceStats::from_entries(entries, &retired);
-        // A closed handle can refuse frames after its session retired.
-        stats.totals.frames_refused = self.inner.telemetry.frames_refused.get();
-        stats.telemetry = self.inner.telemetry.snapshot();
-        stats.telemetry.shards = shard_gauges;
-        stats
+                stats: *stats,
+            });
+        });
+        per_session.sort_by_key(|e| e.session);
+        let mut telemetry = self.inner.telemetry.snapshot();
+        telemetry.shards = self.inner.shard_gauges();
+        ServiceStats {
+            sessions: per_session.len(),
+            retired_sessions,
+            totals,
+            per_session,
+            telemetry,
+        }
     }
 }
 
@@ -922,5 +925,203 @@ impl Drop for DetectionService {
                 panic!("health evaluator thread panicked");
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use laelaps_core::hv::Hypervector;
+    use laelaps_core::{AssociativeMemory, LaelapsConfig};
+    use std::time::Instant;
+
+    use laelaps_telemetry::{PinReason, TraceStats};
+
+    fn tiny_model() -> PatientModel {
+        let config = LaelapsConfig::with_dim(64, 2).unwrap();
+        let am = AssociativeMemory::from_prototypes(Hypervector::zero(64), Hypervector::ones(64))
+            .unwrap();
+        PatientModel::new(config, 2, am).unwrap()
+    }
+
+    /// Streams `chunks` chunks of 256 two-electrode frames through one
+    /// session, retiring some sessions first, and leaves it open.
+    fn stream(service: &DetectionService, chunks: usize) -> SessionHandle {
+        let model = tiny_model();
+        for i in 0..3 {
+            let mut retiring = service.open_session(&format!("R{i}"), &model).unwrap();
+            retiring.try_push_chunk(vec![0.5; 2 * 256].into()).unwrap();
+        }
+        let mut handle = service.open_session("live", &model).unwrap();
+        for _ in 0..chunks {
+            handle.try_push_chunk(vec![0.25; 2 * 256].into()).unwrap();
+            service.flush();
+        }
+        service.flush();
+        while service.session_count() > 1 {
+            std::thread::yield_now();
+        }
+        handle
+    }
+
+    /// `stats()` reads the trace counters off the tracer; they agree with
+    /// what a full snapshot of the flight recorder derives.
+    #[test]
+    fn trace_stats_are_the_counts_of_the_trace_snapshot() {
+        let service = DetectionService::new(ServeConfig {
+            workers: 2,
+            trace: TraceConfig {
+                pin_threshold_us: 0,
+                ..TraceConfig::sampled()
+            },
+            ..ServeConfig::default()
+        });
+        let handle = stream(&service, 6);
+        let pinned = handle.core.telemetry.clock.begin().trace().unwrap();
+        service
+            .inner
+            .telemetry
+            .clock
+            .tracer
+            .pin(pinned, PinReason::Alarm);
+        service
+            .inner
+            .telemetry
+            .clock
+            .tracer
+            .pin(pinned, PinReason::Alarm);
+        let trace = service.trace_snapshot();
+        assert!(trace.recorded > 0);
+        assert_eq!(
+            service.stats().telemetry.trace,
+            TraceStats {
+                enabled: true,
+                minted: trace.minted,
+                recorded: trace.recorded,
+                dropped: trace.dropped,
+                pinned: trace.pinned.len() as u64,
+            }
+        );
+        assert_eq!(service.stats().telemetry.trace.pinned, 1, "pins dedupe");
+    }
+
+    /// `stats()` lists live sessions by id whatever order the shard walk
+    /// meets them in, counts them and the retired ones, and folds the
+    /// retired totals into the service totals.
+    #[test]
+    fn stats_lists_live_sessions_by_id_and_counts_the_retired() {
+        let model = tiny_model();
+        let service = DetectionService::new(ServeConfig {
+            workers: 2,
+            ..ServeConfig::default()
+        });
+        // Least-loaded placement, ties to the lowest shard: ids 0 and 2
+        // share shard 0, so the walk meets them as 0, 2, 1.
+        let mut live: Vec<SessionHandle> = ["A", "B", "C"]
+            .iter()
+            .map(|patient| service.open_session(patient, &model).unwrap())
+            .collect();
+        let placed: Vec<_> = live.iter().map(|h| (h.id(), h.core.shard)).collect();
+        assert_eq!(placed, [(0, 0), (1, 1), (2, 0)]);
+        for (frames, handle) in [8, 16, 24].into_iter().zip(&mut live) {
+            handle.try_push_chunk(vec![0.5; 2 * frames].into()).unwrap();
+        }
+        let mut gone = service.open_session("gone", &model).unwrap();
+        gone.try_push_chunk(vec![0.5; 2 * 100].into()).unwrap();
+        drop(gone);
+        service.flush();
+        while service.session_count() > 3 {
+            std::thread::yield_now();
+        }
+        let mut walked = Vec::new();
+        service.inner.walk_sessions(|core, _| walked.push(core.id));
+        assert_eq!(walked, [0, 2, 1], "the walk goes shard by shard");
+
+        let stats = service.stats();
+        let ids: Vec<_> = stats.per_session.iter().map(|e| e.session).collect();
+        assert_eq!(ids, [0, 1, 2], "ordered by session id");
+        assert_eq!(stats.sessions, stats.per_session.len());
+        assert_eq!(stats.sessions, 3);
+        assert_eq!(stats.retired_sessions, 1);
+        let frames: Vec<_> = stats
+            .per_session
+            .iter()
+            .map(|e| e.stats.frames_in)
+            .collect();
+        assert_eq!(frames, [8, 16, 24]);
+        assert_eq!(stats.totals.frames_in, 148, "retired totals included");
+        drop(live);
+    }
+
+    /// On a quiesced service the health evaluator and `stats()` see the
+    /// same totals: one walk feeds both.
+    #[test]
+    fn health_input_totals_are_the_stats_totals() {
+        let service = DetectionService::new(ServeConfig {
+            workers: 2,
+            ..ServeConfig::default()
+        });
+        let _live = stream(&service, 4);
+        let health = HealthState::new(HealthConfig::default(), 2);
+        let totals = service.stats().totals;
+        assert_eq!(totals.frames_in, (3 + 4) * 256, "retired sessions count");
+        assert_eq!(
+            service.inner.health_input(&health).frames,
+            [
+                totals.frames_in,
+                totals.frames_processed,
+                totals.frames_dropped,
+                totals.frames_refused,
+                totals.frames_discarded,
+            ]
+        );
+    }
+
+    /// A session that retires while the health evaluator walks the
+    /// service is counted exactly once: live or retired, never neither.
+    /// Holding shard 0 parks the walk before it reaches shard 1, where a
+    /// session retires meanwhile.
+    #[test]
+    fn health_input_counts_a_session_retiring_mid_walk() {
+        let model = tiny_model();
+        let service = DetectionService::new(ServeConfig {
+            workers: 2,
+            ..ServeConfig::default()
+        });
+        let health = HealthState::new(HealthConfig::default(), 2);
+        // Least-loaded placement: the first session lands on shard 0,
+        // the second on shard 1.
+        let idle = service.open_session("idle", &model).unwrap();
+        let mut retiring = service.open_session("retiring", &model).unwrap();
+        assert_eq!((idle.core.shard, retiring.core.shard), (0, 1));
+        retiring.try_push_chunk(vec![0.0; 2 * 8].into()).unwrap();
+        service.flush();
+
+        let shard0 = service.inner.shards[0].lock().unwrap();
+        std::thread::scope(|scope| {
+            let walk = scope.spawn(|| service.inner.health_input(&health).frames);
+            // Give the walk time to reach shard 0 and park there. The
+            // sleep decides only whether the retirement below lands
+            // mid-walk, never what a correct walk counts.
+            std::thread::sleep(Duration::from_millis(20));
+            // Closing lets shard 1's worker retire the session. Wait for
+            // it, but only briefly: a walk that holds the retired lock
+            // makes the retirement wait for the walk instead.
+            drop(retiring);
+            let deadline = Instant::now() + Duration::from_millis(200);
+            while Instant::now() < deadline
+                && !service
+                    .inner
+                    .retired
+                    .try_lock()
+                    .is_ok_and(|retired| retired.sessions == 1)
+            {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            drop(shard0);
+            let frames = walk.join().unwrap();
+            assert_eq!(frames[..2], [8, 8], "in and processed, counted once");
+        });
+        drop(idle);
     }
 }

@@ -1,14 +1,14 @@
 //! One patient's streaming detection session.
 
 use std::collections::VecDeque;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use laelaps_check::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use laelaps_check::sync::{Arc, Mutex};
 
 use laelaps_core::{Detector, DetectorEvent, LaelapsConfig, PatientModel};
 use laelaps_eval::parallel::PoolWaker;
-use laelaps_telemetry::{PinReason, SpanContext, Stage, TraceHandle, TraceId};
+use laelaps_telemetry::{Clock, Mark, PinReason, SpanContext, Stage, TraceId};
 
 use crate::ready::{Drained, ReadyFlag, ReadyQueue, Schedulable};
 use crate::ring::{Consumer, DepthGauge, Full, Producer};
@@ -44,14 +44,10 @@ pub enum SessionOutput {
 /// request drains under the old model.
 pub(crate) struct SwapRequest {
     pub model: Arc<PatientModel>,
-    /// When the triggering feedback/request entered the system (`None`
-    /// with telemetry off) — the applied swap records the full
-    /// propagation span as [`Stage::AdaptPropagate`].
-    pub origin: Option<Instant>,
-    /// Causal trace of the triggering feedback (`None` with tracing
-    /// off); the applied swap records an [`Stage::AdaptPropagate`] span
-    /// and pins the trace ([`PinReason::ModelSwap`]).
-    pub trace: Option<TraceHandle>,
+    /// Opened when the triggering feedback or request entered the
+    /// system: the applied swap closes it as [`Stage::AdaptPropagate`]
+    /// and pins its trace ([`PinReason::ModelSwap`]).
+    pub mark: Mark,
 }
 
 /// A chunk of interleaved frame-major samples (`frames × electrodes`)
@@ -59,13 +55,11 @@ pub(crate) struct SwapRequest {
 #[derive(Debug)]
 pub(crate) struct Chunk {
     pub samples: Box<[f32]>,
-    /// When the chunk entered the ring (`None` with telemetry off);
-    /// the popping worker records the span as [`Stage::RingWait`].
-    pub queued_at: Option<Instant>,
-    /// Causal trace minted at acceptance (`None` with tracing off or
-    /// sampled out); carried through the ring so the drain, publish,
-    /// and discard paths attribute their spans to this chunk.
-    pub trace: Option<TraceHandle>,
+    /// Opened as the chunk entered the ring; the popping worker closes
+    /// it as [`Stage::RingWait`]. Its trace (none with tracing off or
+    /// sampled out) rides along so the drain, publish, and discard paths
+    /// attribute their spans to this chunk.
+    pub mark: Mark,
 }
 
 /// Upper bound on chunks one `drain` call processes before yielding the
@@ -198,23 +192,18 @@ impl SessionCore {
     /// [`crate::ServeError::UnknownSession`] if the session already
     /// finished or failed (a swap staged there could never apply).
     pub fn request_swap(&self, model: &Arc<PatientModel>) -> crate::error::Result<()> {
-        self.request_swap_from(
-            model,
-            self.telemetry.stages.now(),
-            self.telemetry.tracer.begin(),
-        )
+        self.request_swap_from(model, self.telemetry.clock.begin())
     }
 
-    /// [`SessionCore::request_swap`] with an explicit propagation origin:
-    /// the adaptation engine passes the instant the triggering feedback
-    /// left its queue (and the feedback's trace, when tracing), so
+    /// [`SessionCore::request_swap`] with an explicit propagation mark:
+    /// the adaptation engine passes the mark it opened when the
+    /// triggering feedback was submitted (with the feedback's trace), so
     /// [`Stage::AdaptPropagate`] spans feedback → applied swap rather
     /// than just request → applied swap.
     pub(crate) fn request_swap_from(
         &self,
         model: &Arc<PatientModel>,
-        origin: Option<Instant>,
-        trace: Option<TraceHandle>,
+        mark: Mark,
     ) -> crate::error::Result<()> {
         if self.done.load(Ordering::Acquire) || self.failed_flag.load(Ordering::Acquire) {
             return Err(crate::ServeError::UnknownSession { session: self.id });
@@ -245,8 +234,7 @@ impl SessionCore {
         self.pending_swap.stage(
             SwapRequest {
                 model: Arc::clone(model),
-                origin,
-                trace,
+                mark,
             },
             barrier,
         );
@@ -280,20 +268,10 @@ impl SessionCore {
             .map_err(|e| format!("model hot-swap failed: {e}"))?;
         let generation = model.generation();
         self.generation.store(generation, Ordering::Release);
-        self.telemetry
-            .stages
-            .record_since(Stage::AdaptPropagate, request.origin);
-        if let Some(t) = request.trace {
-            let tracer = &self.telemetry.tracer;
-            let now = tracer.now_micros();
-            tracer.record(
-                t.id,
-                Stage::AdaptPropagate,
-                self.span_ctx(),
-                t.start_us,
-                now.saturating_sub(t.start_us),
-            );
-            tracer.pin(t.id, PinReason::ModelSwap);
+        let clock = &self.telemetry.clock;
+        clock.close(Stage::AdaptPropagate, request.mark, self.span_ctx());
+        if let Some(id) = request.mark.trace() {
+            clock.tracer.pin(id, PinReason::ModelSwap);
         }
         out.push(SessionOutput::ModelSwapped {
             generation,
@@ -313,9 +291,10 @@ impl SessionCore {
         if self.done.load(Ordering::Relaxed) {
             return Drained::Idle;
         }
-        // Committed only if the pass did work, so idle polls never
-        // pollute the drain histogram; a no-op when telemetry is off.
-        let timer = self.telemetry.stages.timer(Stage::Drain);
+        // Closed only if the pass did work, so idle polls never pollute
+        // the drain histogram; empty (no clock read) when timing is off.
+        let clock = &self.telemetry.clock;
+        let pass = clock.mark(None);
         let mut frames_done: u64 = 0;
         let mut out: Vec<SessionOutput> = Vec::new();
         // Trace ids of chunks drained this pass; the publish span below
@@ -354,23 +333,12 @@ impl SessionCore {
                         }
                         let Some(chunk) = rx.pop() else { break };
                         popped += 1;
-                        self.telemetry
-                            .stages
-                            .record_since(Stage::RingWait, chunk.queued_at);
-                        // Queue-wait span: mint time → this pop. The pop
-                        // instant then starts the drain span below.
-                        let pop_us = chunk.trace.map(|t| {
-                            let tracer = &self.telemetry.tracer;
-                            let now = tracer.now_micros();
-                            tracer.record(
-                                t.id,
-                                Stage::RingWait,
-                                self.span_ctx(),
-                                t.start_us,
-                                now.saturating_sub(t.start_us),
-                            );
-                            now
-                        });
+                        let trace = chunk.mark.trace();
+                        let ctx = self.span_ctx();
+                        // The pop instant closes the ring wait and opens
+                        // the chunk's drain span (the drain histogram
+                        // samples the whole pass).
+                        let drain = clock.close(Stage::RingWait, chunk.mark, ctx).span_only();
                         let chunk_frames = (chunk.samples.len() / electrodes) as u64;
                         // The whole chunk is unaccounted until each frame
                         // completes — a panic on frame 0 must still charge
@@ -380,10 +348,8 @@ impl SessionCore {
                         for frame in chunk.samples.chunks_exact(electrodes) {
                             match detector.push_frame(frame) {
                                 Ok(Some(event)) => {
-                                    if event.alarm.is_some() {
-                                        if let Some(t) = chunk.trace {
-                                            self.telemetry.tracer.pin(t.id, PinReason::Alarm);
-                                        }
+                                    if let (Some(_), Some(id)) = (event.alarm, trace) {
+                                        clock.tracer.pin(id, PinReason::Alarm);
                                     }
                                     out.push(SessionOutput::Event(event));
                                 }
@@ -395,18 +361,8 @@ impl SessionCore {
                             aborted_tail = chunk_frames - in_chunk;
                         }
                         aborted_tail = 0;
-                        if let (Some(t), Some(pop_us)) = (chunk.trace, pop_us) {
-                            let tracer = &self.telemetry.tracer;
-                            let end = tracer.now_micros();
-                            tracer.record(
-                                t.id,
-                                Stage::Drain,
-                                self.span_ctx(),
-                                pop_us,
-                                end.saturating_sub(pop_us),
-                            );
-                            traced.push(t.id);
-                        }
+                        clock.close(Stage::Drain, drain, ctx);
+                        traced.extend(trace);
                     }
                     None
                 }));
@@ -420,16 +376,18 @@ impl SessionCore {
             0
         };
         let worked = frames_done > 0 || newly_failed || discarded > 0 || !out.is_empty();
-        self.publish_traced(out, bus, &traced);
+        let published = self.publish_outputs(out, bus, &traced);
         if swapped {
             // The marker is in the outbox: only now may a flush that
             // waits on `swap_pending` stop waiting.
             self.pending_swap.settle();
         }
         if worked {
+            // The publish close, when it read the clock, also ends the pass.
+            let end = clock.close_at(Stage::Drain, pass, published, SpanContext::default());
             self.counters
-                .record_drain(timer.commit(), self.telemetry.drain_ticks.get());
-            self.telemetry.record_frames(frames_done);
+                .record_drain(end.micros_since(pass), self.telemetry.drain_ticks.get());
+            self.telemetry.record_frames(frames_done, end);
             // Publish progress only after events reached the outbox, so a
             // flush() that observes frames_processed == frames_in also
             // observes every resulting event.
@@ -466,8 +424,8 @@ impl SessionCore {
         while let Some(chunk) = state.rx.pop() {
             // Tail retention: a discarded chunk is exactly the anomaly
             // the flight recorder exists for.
-            if let Some(t) = chunk.trace {
-                self.telemetry.tracer.pin(t.id, PinReason::Discard);
+            if let Some(id) = chunk.mark.trace() {
+                self.telemetry.clock.tracer.pin(id, PinReason::Discard);
             }
             discarded += (chunk.samples.len() / self.electrodes) as u64;
         }
@@ -495,38 +453,26 @@ impl SessionCore {
         }
     }
 
-    /// [`SessionCore::publish_outputs`] plus a shared publish span: the
-    /// one publish pass is attributed to every chunk drained this pass
-    /// (the pass batches their outputs, so the span genuinely belongs to
-    /// each trace). No clock reads when `traced` is empty.
-    fn publish_traced(
+    /// Publishes one pass's ordered outputs: bumps event/alarm counters,
+    /// fans alarms and swap markers onto the service bus, and appends
+    /// everything to the session outbox.
+    ///
+    /// Timed once: a [`Stage::Publish`] sample when there was output, and
+    /// a span for each chunk drained this pass (`traced`), since the pass
+    /// batches their outputs. Returns the close mark, which holds an
+    /// instant only when something was recorded.
+    fn publish_outputs(
         &self,
         out: Vec<SessionOutput>,
         bus: &Mutex<VecDeque<ServiceEvent>>,
         traced: &[TraceId],
-    ) {
-        if traced.is_empty() {
-            self.publish_outputs(out, bus);
-            return;
+    ) -> Mark {
+        let publishing = !out.is_empty();
+        if !publishing && traced.is_empty() {
+            return Mark::default();
         }
-        let tracer = &self.telemetry.tracer;
-        let start = tracer.now_micros();
-        self.publish_outputs(out, bus);
-        let dur = tracer.now_micros().saturating_sub(start);
-        let ctx = self.span_ctx();
-        for id in traced {
-            tracer.record(*id, Stage::Publish, ctx, start, dur);
-        }
-    }
-
-    /// Publishes one pass's ordered outputs: bumps event/alarm counters,
-    /// fans alarms and swap markers onto the service bus, and appends
-    /// everything to the session outbox.
-    fn publish_outputs(&self, out: Vec<SessionOutput>, bus: &Mutex<VecDeque<ServiceEvent>>) {
-        if out.is_empty() {
-            return;
-        }
-        let timer = self.telemetry.stages.timer(Stage::Publish);
+        let clock = &self.telemetry.clock;
+        let start = clock.mark(traced.first().copied());
         let mut bus_events: Vec<ServiceEvent> = Vec::new();
         let mut events_out: u64 = 0;
         for entry in &out {
@@ -571,7 +517,13 @@ impl SessionCore {
             .lock()
             .expect("session outbox poisoned")
             .extend(out);
-        timer.commit();
+        let start = if publishing { start } else { start.span_only() };
+        let ctx = self.span_ctx();
+        let end = clock.close(Stage::Publish, start, ctx);
+        for &id in traced.iter().skip(1) {
+            clock.close_at(Stage::Publish, start.span_of(id), end, ctx);
+        }
+        end
     }
 
     /// Whether every accepted frame has been run through the detector
@@ -635,48 +587,18 @@ impl SessionHandle {
     /// Queues a chunk of interleaved frames. On a full queue the chunk is
     /// returned in [`PushError::Full`] — nothing is dropped silently.
     pub fn try_push_chunk(&mut self, chunk: Box<[f32]>) -> Result<(), PushError> {
-        self.push_with_wire_span(chunk, 0)
+        self.enqueue(chunk, Clock::begin, false)
     }
 
-    /// [`SessionHandle::try_push_chunk`] with the wire-decode duration of
-    /// the chunk's frame message: the network read loop measures the
-    /// decode and passes it here (the trace id does not exist until the
-    /// push mints it), so the accepted chunk's trace opens with a
-    /// [`Stage::WireDecode`] span that immediately precedes its enqueue.
-    /// Recorded only on a successful push — a caller retrying on `Full`
-    /// re-mints (burning an id, harmlessly) instead of duplicating spans.
-    pub(crate) fn push_with_wire_span(
+    /// [`SessionHandle::try_push_chunk`] for a chunk whose trace the
+    /// network read loop minted at its [`Stage::WireDecode`]; a push
+    /// retried on `Full` keeps it.
+    pub(crate) fn try_push_traced(
         &mut self,
         chunk: Box<[f32]>,
-        wire_decode_us: u64,
+        trace: Option<TraceId>,
     ) -> Result<(), PushError> {
-        let frames = self.check_width(chunk.len())?;
-        let trace = self.core.telemetry.tracer.begin();
-        let chunk = Chunk {
-            samples: chunk,
-            queued_at: self.core.telemetry.stages.now(),
-            trace,
-        };
-        match self.tx.try_push(chunk) {
-            Ok(()) => {
-                if let Some(t) = trace {
-                    if wire_decode_us > 0 {
-                        // The decode ended (≈) when the trace was minted.
-                        self.core.telemetry.tracer.record(
-                            t.id,
-                            Stage::WireDecode,
-                            self.core.span_ctx(),
-                            t.start_us.saturating_sub(wire_decode_us),
-                            wire_decode_us,
-                        );
-                    }
-                }
-                self.core.counters.cell.record_in(frames as u64);
-                self.schedule();
-                Ok(())
-            }
-            Err(Full(chunk)) => Err(PushError::Full(chunk.samples)),
-        }
+        self.enqueue(chunk, |clock| clock.mark(trace), false)
     }
 
     /// Queues a chunk, dropping it (and counting the drop) if the queue
@@ -690,8 +612,9 @@ impl SessionHandle {
     /// Panics if the chunk does not divide into whole frames; width bugs
     /// are programming errors, unlike transient overload.
     pub fn push_chunk_lossy(&mut self, samples: &[f32]) -> bool {
-        let frames = match self.check_width(samples.len()) {
-            Ok(frames) => frames,
+        match self.enqueue(samples, Clock::begin, true) {
+            Ok(()) => true,
+            Err(PushError::Full(_)) => false,
             Err(PushError::Closed) => {
                 // Closed/failed sessions skip width validation, so round
                 // down: partial-frame tails of a misshapen chunk are not
@@ -702,38 +625,46 @@ impl SessionHandle {
                     .frames_refused
                     .fetch_add(refused, Ordering::Relaxed);
                 self.core.telemetry.frames_refused.add(refused);
-                return false;
+                false
             }
             Err(e) => panic!("{e}"),
-        };
-        let trace = self.core.telemetry.tracer.begin();
-        let chunk = Chunk {
+        }
+    }
+
+    /// The one enqueue: checks the width, marks the chunk (opening its
+    /// [`Stage::RingWait`]), pushes it, accounts its frames and schedules
+    /// the session. On a full ring the chunk comes back in
+    /// [`PushError::Full`]; a `lossy` push also sheds it, counting the
+    /// drop and pinning its trace behind a zero-length
+    /// [`Stage::RingEnqueue`] span.
+    fn enqueue(
+        &mut self,
+        samples: impl AsRef<[f32]> + Into<Box<[f32]>>,
+        mark: impl FnOnce(&Clock) -> Mark,
+        lossy: bool,
+    ) -> Result<(), PushError> {
+        let frames = self.check_width(samples.as_ref().len())? as u64;
+        let clock = &self.core.telemetry.clock;
+        let mark = mark(clock);
+        match self.tx.try_push(Chunk {
             samples: samples.into(),
-            queued_at: self.core.telemetry.stages.now(),
-            trace,
-        };
-        match self.tx.try_push(chunk) {
+            mark,
+        }) {
             Ok(()) => {
-                self.core.counters.cell.record_in(frames as u64);
+                self.core.counters.cell.record_in(frames);
                 self.schedule();
-                true
+                Ok(())
             }
-            Err(Full(_)) => {
-                // A shed chunk is an anomaly worth keeping: give the
-                // trace a zero-length enqueue span and pin it.
-                if let Some(t) = trace {
-                    let tracer = &self.core.telemetry.tracer;
-                    tracer.record(
-                        t.id,
-                        Stage::RingEnqueue,
-                        self.core.span_ctx(),
-                        t.start_us,
-                        0,
-                    );
-                    tracer.pin(t.id, PinReason::Drop);
+            Err(Full(chunk)) => {
+                if lossy {
+                    let shed = mark.span_only();
+                    clock.close_at(Stage::RingEnqueue, shed, mark, self.core.span_ctx());
+                    if let Some(id) = mark.trace() {
+                        clock.tracer.pin(id, PinReason::Drop);
+                    }
+                    self.core.counters.cell.record_dropped(frames);
                 }
-                self.core.counters.cell.record_dropped(frames as u64);
-                false
+                Err(PushError::Full(chunk.samples))
             }
         }
     }
@@ -1005,8 +936,7 @@ mod tests {
     fn chunk(samples: Vec<f32>) -> Chunk {
         Chunk {
             samples: samples.into(),
-            queued_at: None,
-            trace: None,
+            mark: Mark::default(),
         }
     }
 

@@ -1,9 +1,10 @@
 //! Observability counters for sessions and the whole service.
 
 use laelaps_check::sync::atomic::{AtomicU64, Ordering};
+pub use laelaps_telemetry::TraceStats;
 use laelaps_telemetry::{
-    Counter, RateMeter, SessionCell, StageSet, StagesSnapshot, TelemetryConfig, TopK, TraceConfig,
-    Tracer,
+    Clock, Counter, Mark, RateMeter, SessionCell, StagesSnapshot, TelemetryConfig, TopK,
+    TraceConfig,
 };
 
 use crate::adapt::AdaptStats;
@@ -322,20 +323,22 @@ pub struct SessionObsSnapshot {
     pub lookup: Option<SessionObsRow>,
 }
 
-/// The service's live telemetry state: per-stage latency histograms plus
-/// a trailing frame-rate meter, shared by every shard worker, session,
-/// and connection of one [`crate::DetectionService`].
+/// The service's live telemetry state: the clock (per-stage latency
+/// histograms and the causal tracer) plus a trailing frame-rate meter,
+/// shared by every shard worker, session, and connection of one
+/// [`crate::DetectionService`].
 ///
 /// Owned by the service, snapshotted into [`TelemetrySnapshot`] by
 /// [`crate::DetectionService::stats`].
 #[derive(Debug)]
 pub(crate) struct ServiceTelemetry {
-    /// Per-stage latency histograms (microseconds).
-    pub stages: StageSet,
-    /// Per-chunk causal tracer (flight recorder + pin set); inert — zero
-    /// clock reads — unless [`crate::ServeConfig::trace`] enabled it.
-    pub tracer: Tracer,
-    /// Frames drained across every session, trailing 5 s window.
+    /// The one clock: stage histograms (microseconds) and the per-chunk
+    /// tracer (flight recorder + pin set), timed on one epoch. Tracing is
+    /// inert — zero clock reads — unless [`crate::ServeConfig::trace`]
+    /// enabled it.
+    pub clock: Clock,
+    /// Frames drained across every session, trailing 5 s window, on the
+    /// clock's epoch.
     frames: RateMeter,
     /// Shard-worker pass counter: bumped once per shard drain pass, the
     /// tick domain of [`SessionStats::last_drain_tick`]. Not wall time.
@@ -358,8 +361,7 @@ impl ServiceTelemetry {
         workers: usize,
     ) -> Self {
         ServiceTelemetry {
-            stages: StageSet::new(config),
-            tracer: Tracer::new(trace),
+            clock: Clock::new(config, trace),
             frames: RateMeter::per_5s(),
             drain_ticks: Counter::new(),
             frames_refused: Counter::new(),
@@ -367,33 +369,31 @@ impl ServiceTelemetry {
         }
     }
 
-    /// Attributes `frames` drained frames to the current rate window.
-    /// Free when telemetry is disabled (the rate meter reads the clock).
+    /// Attributes `frames` drained frames to the rate window of `at`, the
+    /// close of their drain pass (which holds no instant with timing off).
     #[inline]
-    pub fn record_frames(&self, frames: u64) {
-        if frames > 0 && self.stages.enabled() {
-            self.frames.record(frames);
+    pub fn record_frames(&self, frames: u64, at: Mark) {
+        if let Some(now) = at.at_us().filter(|_| frames > 0) {
+            self.frames.record(now, frames);
         }
     }
 
     /// Point-in-time snapshot; `registry`/`adapt`/`shards`
     /// stay at their zero defaults for the caller to fill in.
     pub fn snapshot(&self) -> TelemetrySnapshot {
-        let tracer = self.tracer.snapshot();
+        let stages = &self.clock.stages;
         TelemetrySnapshot {
-            enabled: self.stages.enabled(),
-            stages: self.stages.snapshot(),
-            recent_frames_per_sec: self.frames.per_sec(),
+            enabled: stages.enabled(),
+            stages: stages.snapshot(),
+            recent_frames_per_sec: if stages.enabled() {
+                self.clock.per_sec(&self.frames)
+            } else {
+                0.0
+            },
             registry: RegistryStats::default(),
             adapt: AdaptStats::default(),
             shards: Vec::new(),
-            trace: TraceStats {
-                enabled: tracer.enabled,
-                minted: tracer.minted,
-                recorded: tracer.recorded,
-                dropped: tracer.dropped,
-                pinned: tracer.pinned.len() as u64,
-            },
+            trace: self.clock.tracer.stats(),
         }
     }
 }
@@ -416,23 +416,6 @@ pub struct ShardGauges {
     pub ring_depth_chunks: usize,
     /// Accepted frames not yet processed or discarded on this shard.
     pub in_flight_frames: u64,
-}
-
-/// Tracer accounting folded into every [`TelemetrySnapshot`] (the spans
-/// themselves are exported via [`crate::DetectionService::trace_snapshot`]
-/// or the wire `TraceDump`).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TraceStats {
-    /// Whether per-chunk tracing was on ([`crate::ServeConfig::trace`]).
-    pub enabled: bool,
-    /// Trace ids minted.
-    pub minted: u64,
-    /// Spans written to the flight recorder (including overwritten ones).
-    pub recorded: u64,
-    /// Spans dropped to recorder slot collisions.
-    pub dropped: u64,
-    /// Distinct pinned traces currently remembered.
-    pub pinned: u64,
 }
 
 /// The service's full observability surface beyond raw session counters,
@@ -489,24 +472,6 @@ pub struct ServiceStats {
 }
 
 impl ServiceStats {
-    pub(crate) fn from_entries(
-        mut per_session: Vec<SessionStatsEntry>,
-        retired: &RetiredStats,
-    ) -> Self {
-        per_session.sort_by_key(|e| e.session);
-        let mut totals = retired.totals;
-        for entry in &per_session {
-            totals.absorb(&entry.stats);
-        }
-        ServiceStats {
-            sessions: per_session.len(),
-            retired_sessions: retired.sessions,
-            totals,
-            per_session,
-            telemetry: TelemetrySnapshot::default(),
-        }
-    }
-
     /// Attaches registry cache counters to this snapshot.
     #[must_use]
     pub fn with_registry(mut self, registry: RegistryStats) -> Self {
@@ -575,46 +540,20 @@ mod tests {
 
     #[test]
     fn aggregate_sums_and_maxes() {
-        let a = SessionStats {
-            frames_in: 5,
+        let mut totals = SessionStats {
+            frames_in: 100,
             max_drain_micros: 7,
+            last_drain_tick: 9,
             ..Default::default()
         };
-        let b = SessionStats {
-            frames_in: 3,
+        totals.absorb(&SessionStats {
+            frames_in: 5,
             max_drain_micros: 11,
+            last_drain_tick: 3,
             ..Default::default()
-        };
-        let retired = RetiredStats {
-            sessions: 1,
-            totals: SessionStats {
-                frames_in: 100,
-                ..Default::default()
-            },
-        };
-        let stats = ServiceStats::from_entries(
-            vec![
-                SessionStatsEntry {
-                    session: 2,
-                    patient: "B".into(),
-                    shard: 0,
-                    generation: 0,
-                    stats: b,
-                },
-                SessionStatsEntry {
-                    session: 1,
-                    patient: "A".into(),
-                    shard: 1,
-                    generation: 0,
-                    stats: a,
-                },
-            ],
-            &retired,
-        );
-        assert_eq!(stats.sessions, 2);
-        assert_eq!(stats.retired_sessions, 1);
-        assert_eq!(stats.totals.frames_in, 108, "retired totals included");
-        assert_eq!(stats.totals.max_drain_micros, 11);
-        assert_eq!(stats.per_session[0].session, 1, "sorted by id");
+        });
+        assert_eq!(totals.frames_in, 105, "counters sum");
+        assert_eq!(totals.max_drain_micros, 11, "latency bounds take the max");
+        assert_eq!(totals.last_drain_tick, 9, "the latest tick wins");
     }
 }

@@ -123,6 +123,7 @@
 use std::io::{Read, Write};
 
 use laelaps_core::{Alarm, Classification, DetectorEvent, Label};
+use laelaps_telemetry::{Clock, Mark};
 
 use crate::error::{Result, ServeError};
 use crate::health::{HealthSnapshot, HealthTransition, HealthVerdict, RuleEval, SeriesSample};
@@ -810,45 +811,38 @@ fn read_full<R: Read>(reader: &mut R, buf: &mut [u8]) -> Result<bool> {
 ///   payload, checksum mismatch, unknown tag, or malformed payload;
 /// * [`ServeError::Io`] — transport failure.
 pub fn read_message<R: Read>(reader: &mut R) -> Result<Option<Message>> {
-    read_message_timed(reader, None)
+    Ok(read_message_spanned(reader, None)?.map(|(message, _)| message))
 }
 
-/// [`read_message`] with optional stage timing: a
-/// [`laelaps_telemetry::Stage::WireDecode`] timer starts only after the
-/// 8-byte header has fully arrived, so idle socket waits between
-/// messages are never charged to decode latency — only validating +
-/// reading the body, the checksum pass, and payload parsing are.
+/// [`read_message`] that also hands back the message's decode mark,
+/// opened on `clock` once the 8-byte header has fully arrived — so idle
+/// socket waits between messages are never charged to decode latency,
+/// only validating and reading the body, the checksum pass, and payload
+/// parsing. The caller closes the mark as
+/// [`laelaps_telemetry::Stage::WireDecode`].
 ///
-/// # Errors
-///
-/// Same as [`read_message`].
-pub fn read_message_timed<R: Read>(
-    reader: &mut R,
-    stages: Option<&laelaps_telemetry::StageSet>,
-) -> Result<Option<Message>> {
-    Ok(read_message_spanned(reader, stages)?.map(|(message, _)| message))
-}
-
-/// [`read_message_timed`] that also hands back the measured decode time
-/// in microseconds, so the caller can attach a
-/// [`laelaps_telemetry::Stage::WireDecode`] span to the chunk's causal
-/// trace. The duration is 0 whenever no enabled
-/// [`laelaps_telemetry::StageSet`] was passed
-/// (the clock is never read then — tracing alone does not pay for wire
-/// timing).
+/// A `Frames` message opens a new item: its mark mints the chunk's trace
+/// ([`Clock::begin`]), so the chunk's trace starts with its decode span.
+/// Any other message gets an untraced mark. The mark holds an instant
+/// only when stage timing is on or the chunk is traced; otherwise, and
+/// without a clock, it is empty and no clock is read.
 ///
 /// # Errors
 ///
 /// Same as [`read_message`].
 pub fn read_message_spanned<R: Read>(
     reader: &mut R,
-    stages: Option<&laelaps_telemetry::StageSet>,
-) -> Result<Option<(Message, u64)>> {
+    clock: Option<&Clock>,
+) -> Result<Option<(Message, Mark)>> {
     let mut header = [0u8; HEADER_LEN];
     if !read_full(reader, &mut header)? {
         return Ok(None);
     }
-    let timer = stages.map(|s| s.timer(laelaps_telemetry::Stage::WireDecode));
+    let decode = match clock {
+        Some(clock) if header[3] == TAG_FRAMES => clock.begin(),
+        Some(clock) => clock.mark(None),
+        None => Mark::default(),
+    };
     if header[..2] != WIRE_MAGIC {
         return Err(corrupt("bad magic (not a Laelaps wire frame)"));
     }
@@ -879,8 +873,7 @@ pub fn read_message_spanned<R: Read>(
         return Err(corrupt("checksum mismatch"));
     }
     let message = decode_payload(tag, payload)?;
-    let decode_us = timer.map(|t| t.commit()).unwrap_or(0);
-    Ok(Some((message, decode_us)))
+    Ok(Some((message, decode)))
 }
 
 /// A little-endian cursor over a verified payload.

@@ -15,7 +15,9 @@ use laelaps_serve::adapt::AdaptationEngine;
 use laelaps_serve::metrics::value;
 use laelaps_serve::net::{IngestClient, IngestServer};
 use laelaps_serve::wire::{read_message, write_message, Message, WIRE_VERSION};
-use laelaps_serve::{DetectionService, ModelRegistry, ServeConfig, ServeError, TraceConfig};
+use laelaps_serve::{
+    DetectionService, ModelRegistry, ServeConfig, ServeError, Stage, TelemetryConfig, TraceConfig,
+};
 
 fn registry_with_models(tag: &str, patients: usize) -> (Arc<ModelRegistry>, Vec<String>) {
     let dir = std::env::temp_dir().join(format!("laelaps-net-{tag}-{}", std::process::id()));
@@ -520,6 +522,58 @@ fn introspection_connection_answers_stats_and_trace_dumps_live() {
         "server closes the exchange cleanly"
     );
 
+    drop(server);
+    let _ = std::fs::remove_dir_all(registry.dir());
+}
+
+/// A chunk's trace is minted when its frame arrives, so its first span is
+/// its wire decode, even with stage timing off; a push retried against a
+/// full ring keeps that trace instead of minting another.
+#[test]
+fn a_tcp_chunk_is_traced_from_its_decode_and_keeps_its_trace_across_retries() {
+    let (registry, ids) = registry_with_models("decode-trace", 1);
+    let service = Arc::new(DetectionService::new(ServeConfig {
+        workers: 1,
+        ring_chunks: 1,
+        telemetry: TelemetryConfig::disabled(),
+        trace: TraceConfig::sampled(),
+        ..ServeConfig::default()
+    }));
+    let server = IngestServer::bind("127.0.0.1:0", Arc::clone(&service), Arc::clone(&registry))
+        .expect("server binds");
+    let mut client = IngestClient::connect(server.local_addr(), &ids[0], 4).unwrap();
+    // The wedged session's one-chunk ring fills with the first chunk; the
+    // second is retried against it until the wedge lifts.
+    service.debug_wedge_session(client.session(), true);
+    let signal = two_state_signal(4, 256 * 4, 0..0, 910);
+    for chunk in interleave(&signal).chunks(256 * 4) {
+        client.send_chunk(chunk).expect("chunk sends");
+    }
+    std::thread::sleep(Duration::from_millis(100));
+    service.debug_wedge_session(client.session(), false);
+    client.finish().expect("clean close");
+    assert!(server.throttles_sent() > 0, "a push was retried");
+
+    let trace = service.trace_snapshot();
+    assert_eq!(trace.minted, 4, "one trace per chunk, however often pushed");
+    for id in 1..=4 {
+        let stages: Vec<Stage> = trace
+            .spans
+            .iter()
+            .filter(|s| s.trace_id == id)
+            .map(|s| s.stage)
+            .collect();
+        assert_eq!(
+            stages,
+            [
+                Stage::WireDecode,
+                Stage::RingWait,
+                Stage::Drain,
+                Stage::Publish
+            ],
+            "trace {id}"
+        );
+    }
     drop(server);
     let _ = std::fs::remove_dir_all(registry.dir());
 }

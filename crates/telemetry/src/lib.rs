@@ -3,8 +3,8 @@
 //! Allocation-free, lock-cheap observability primitives for the Laelaps
 //! serving stack: atomic [`Counter`]s, log2-sub-bucketed latency
 //! [`Histogram`]s with quantile estimation and exact merge, windowed
-//! [`RateMeter`]s, a [`StageTimer`] API that attributes wall time to
-//! named hot-path [`Stage`]s, a per-chunk causal tracing layer
+//! [`RateMeter`]s, one [`Clock`] that times named hot-path [`Stage`]s
+//! into a [`StageSet`] of histograms, a per-chunk causal tracing layer
 //! ([`Tracer`]) backed by a wait-free [`FlightRecorder`] ring with
 //! tail-based pinning of anomalous traces, and a per-session layer — a
 //! compact [`SessionCell`] accounting cell plus a fixed-capacity
@@ -19,24 +19,30 @@
 //! ([`HistogramSnapshot`], [`StagesSnapshot`]) that are plain owned data —
 //! cheap to clone, merge, and serialize.
 //!
-//! ## The disabled fast path
+//! ## One clock, and the disabled fast path
 //!
-//! Timing costs clock reads (two `Instant::now()` per measured span,
-//! ~20–50 ns each). A [`StageSet`] built from a disabled
-//! [`TelemetryConfig`] therefore hands out no-op [`StageTimer`]s that
-//! never touch the clock or the histograms: *off = a few atomics* on the
-//! counters that remain, nothing else. Callers write the same
-//! straight-line code either way:
+//! The [`Clock`] holds the one epoch that stage histograms, trace spans
+//! and rate meters are measured on. An interval opens with a [`Mark`]
+//! ([`Clock::mark`], or [`Clock::begin`] for a new, possibly traced,
+//! item) and ends with one [`Clock::close`]: one clock read (~20–50 ns)
+//! that records the stage's histogram sample when timing is on and the
+//! span when the mark is traced; the mark it returns opens the next
+//! stage at that instant. A mark holds an instant only when closing it
+//! records something, so with timing ([`TelemetryConfig::disabled`]) and
+//! tracing off nothing reads the clock: *off = a few atomics* on the
+//! counters that remain. Callers write the same code either way:
 //!
 //! ```
-//! use laelaps_telemetry::{Stage, StageSet, TelemetryConfig};
+//! use laelaps_telemetry::{Clock, SpanContext, Stage, TelemetryConfig, TraceConfig};
 //!
-//! let stages = StageSet::new(&TelemetryConfig::default());
-//! let timer = stages.timer(Stage::Drain); // no-op if disabled
-//! // ... do the work ...
-//! let micros = timer.commit();            // records + returns elapsed
-//! assert!(stages.snapshot().get(Stage::Drain).count >= 1);
-//! # let _ = micros;
+//! for timing in [TelemetryConfig::default(), TelemetryConfig::disabled()] {
+//!     let clock = Clock::new(&timing, &TraceConfig::default());
+//!     let mark = clock.begin(); // tracing is off: no trace is minted
+//!     // ... do the work ...
+//!     clock.close(Stage::Drain, mark, SpanContext::default());
+//!     let samples = clock.stages.snapshot().get(Stage::Drain).count;
+//!     assert_eq!(samples, u64::from(timing.enabled));
+//! }
 //! ```
 //!
 //! ## Histogram layout
@@ -56,6 +62,7 @@
 #![deny(unsafe_op_in_unsafe_fn)]
 
 mod cell;
+mod clock;
 mod hist;
 mod rate;
 mod recorder;
@@ -65,25 +72,25 @@ mod topk;
 mod trace;
 
 pub use cell::SessionCell;
+pub use clock::{Clock, Mark};
 pub use hist::{Histogram, HistogramSnapshot};
 pub use rate::RateMeter;
 pub use recorder::{FlightRecorder, RecorderEntry, RECORD_WORDS};
-pub use stage::{Stage, StageSet, StageTimer, StagesSnapshot};
+pub use stage::{Stage, StageSet, StagesSnapshot};
 pub use topk::{TopK, TopKEntry};
 pub use trace::{
-    PinReason, PinnedTrace, SpanContext, SpanRecord, TraceConfig, TraceHandle, TraceId,
-    TraceSnapshot, Tracer,
+    PinReason, PinnedTrace, SpanContext, SpanRecord, TraceConfig, TraceId, TraceSnapshot,
+    TraceStats, Tracer,
 };
 
 use laelaps_check::sync::atomic::{AtomicU64, Ordering};
 
-/// Configuration of a telemetry surface (see [`StageSet::new`]).
+/// Configuration of a telemetry surface (see [`Clock::new`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TelemetryConfig {
-    /// Whether stage timing is on. When `false`, [`StageSet::timer`]
-    /// returns no-op timers that never read the clock, and
-    /// [`StageSet::now`] returns `None` — the only residual cost of the
-    /// instrumented code is its plain atomic counters.
+    /// Whether stage timing is on. When `false`, untraced marks hold no
+    /// instant and closing them reads no clock — the only residual cost
+    /// of the instrumented code is its plain atomic counters.
     pub enabled: bool,
 }
 

@@ -1,7 +1,7 @@
 //! Windowed event-rate meters.
 
 use laelaps_check::sync::atomic::{AtomicU64, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// One slice of the sliding window: the epoch (slot-width-sized tick)
 /// the counts belong to, plus the counts themselves.
@@ -11,17 +11,18 @@ struct Slot {
     count: AtomicU64,
 }
 
-/// A lock-free sliding-window rate meter: `record(n)` attributes `n`
-/// events to the current time slice; [`RateMeter::per_sec`] reports the
-/// event rate over the trailing window.
+/// A lock-free sliding-window rate meter: [`RateMeter::record`]
+/// attributes events to the time slice of an instant;
+/// [`RateMeter::per_sec`] reports the event rate over the window trailing
+/// an instant.
 ///
-/// The window is divided into slots that are lazily recycled as time
-/// advances, so recording is a couple of relaxed atomic operations plus
-/// one monotonic clock read — fit for once-per-drain-pass call sites,
-/// not per-sample ones.
+/// Instants are µs on the caller's epoch (a [`crate::Clock`]'s, whose
+/// close already read the instant a recording belongs to), so the meter
+/// reads no clock. The window is divided into slots that are lazily
+/// recycled as time advances; recording is a couple of relaxed atomic
+/// operations.
 #[derive(Debug)]
 pub struct RateMeter {
-    origin: Instant,
     slot_micros: u64,
     slots: Vec<Slot>,
 }
@@ -33,7 +34,6 @@ impl RateMeter {
         let slots = slots.max(2);
         let slot_micros = (window.as_micros() as u64 / slots as u64).max(1);
         RateMeter {
-            origin: Instant::now(),
             slot_micros,
             slots: (0..slots).map(|_| Slot::default()).collect(),
         }
@@ -45,13 +45,13 @@ impl RateMeter {
         RateMeter::new(Duration::from_secs(5), 10)
     }
 
-    fn epoch_now(&self) -> u64 {
-        self.origin.elapsed().as_micros() as u64 / self.slot_micros
+    fn slice(&self, now_us: u64) -> u64 {
+        now_us / self.slot_micros
     }
 
-    /// Attributes `n` events to the current window slice.
-    pub fn record(&self, n: u64) {
-        let epoch = self.epoch_now();
+    /// Attributes `n` events to the window slice of `now_us`.
+    pub fn record(&self, now_us: u64, n: u64) {
+        let epoch = self.slice(now_us);
         let slot = &self.slots[(epoch % self.slots.len() as u64) as usize];
         // Recycle a stale slot: the winner of the CAS zeroes the count.
         // A concurrent recorder that loses simply adds to the fresh
@@ -69,10 +69,10 @@ impl RateMeter {
         slot.count.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Events per second over the trailing window (0.0 before anything
-    /// was recorded).
-    pub fn per_sec(&self) -> f64 {
-        let epoch = self.epoch_now();
+    /// Events per second over the window trailing `now_us` (0.0 before
+    /// anything was recorded).
+    pub fn per_sec(&self, now_us: u64) -> f64 {
+        let epoch = self.slice(now_us);
         let window_slots = self.slots.len() as u64;
         let mut events = 0u64;
         for slot in &self.slots {
@@ -83,12 +83,10 @@ impl RateMeter {
                 events += slot.count.load(Ordering::Relaxed);
             }
         }
-        // Elapsed window: full span once we've run long enough, the
-        // actual elapsed time before that (so early rates aren't diluted
+        // Elapsed window: full span once the epoch is old enough, the
+        // time since the epoch before that (so early rates aren't diluted
         // by the not-yet-existing past).
-        let span_micros = (self.slot_micros * window_slots)
-            .min(self.origin.elapsed().as_micros() as u64)
-            .max(1);
+        let span_micros = (self.slot_micros * window_slots).min(now_us).max(1);
         events as f64 / (span_micros as f64 / 1e6)
     }
 }
@@ -100,22 +98,30 @@ mod tests {
     #[test]
     fn rate_reflects_recent_events() {
         let meter = RateMeter::new(Duration::from_millis(200), 4);
-        for _ in 0..10 {
-            meter.record(100);
+        for t in 0..10 {
+            meter.record(1_000 + t, 100);
         }
-        let rate = meter.per_sec();
-        assert!(rate > 0.0, "rate should be positive, got {rate}");
-        // 1000 events in well under 200 ms → at least 5000/s.
-        assert!(rate >= 5000.0, "rate underestimates: {rate}");
+        // 1000 events 10 ms after the epoch: the span so far is 10 ms.
+        assert_eq!(meter.per_sec(10_000), 100_000.0);
+        // Still inside the window 150 ms after the epoch.
+        assert_eq!(meter.per_sec(150_000), 1000.0 / (150_000.0 / 1e6));
     }
 
     #[test]
     fn old_events_age_out() {
         let meter = RateMeter::new(Duration::from_millis(80), 4);
-        meter.record(1000);
-        std::thread::sleep(Duration::from_millis(200));
+        meter.record(0, 1000);
         // The recording slice left the window; only recycling keeps the
         // counts, and those slices no longer qualify.
-        assert_eq!(meter.per_sec(), 0.0);
+        assert_eq!(meter.per_sec(200_000), 0.0);
+    }
+
+    #[test]
+    fn a_stale_slot_is_recycled() {
+        let meter = RateMeter::new(Duration::from_millis(80), 4);
+        meter.record(0, 1000);
+        // 80 ms later the same slot serves a new slice, starting from 0.
+        meter.record(80_000, 7);
+        assert_eq!(meter.per_sec(80_000), 7.0 / (80_000.0 / 1e6));
     }
 }

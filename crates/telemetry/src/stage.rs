@@ -1,7 +1,4 @@
-//! Named hot-path stages and the timers that attribute wall time to
-//! them.
-
-use std::time::Instant;
+//! Named hot-path stages and their latency histograms.
 
 use crate::hist::{Histogram, HistogramSnapshot};
 use crate::TelemetryConfig;
@@ -82,18 +79,17 @@ impl Stage {
 
 /// One latency histogram per [`Stage`], behind a single enabled flag.
 ///
-/// The write-side API is built so instrumented code reads identically
-/// whether telemetry is on or off, and costs nothing but the branch when
-/// off (see [`TelemetryConfig`]).
+/// Samples are recorded by [`crate::Clock::close`], which measures them;
+/// with timing off the histograms stay empty and nothing reads the clock.
 pub struct StageSet {
     enabled: bool,
     stages: [Histogram; Stage::ALL.len()],
 }
 
 impl StageSet {
-    /// Builds the per-stage histograms (or the no-op variant when
-    /// `config.enabled` is false).
-    pub fn new(config: &TelemetryConfig) -> Self {
+    /// Builds the per-stage histograms (inert when `config.enabled` is
+    /// false).
+    pub(crate) fn new(config: &TelemetryConfig) -> Self {
         StageSet {
             enabled: config.enabled,
             stages: std::array::from_fn(|_| Histogram::new()),
@@ -105,39 +101,9 @@ impl StageSet {
         self.enabled
     }
 
-    /// A running timer for `stage` — no-op (no clock read) when
-    /// disabled. Drop it to discard the measurement, or
-    /// [`StageTimer::commit`] it to record.
+    /// Records one measured interval, in microseconds.
     #[inline]
-    pub fn timer(&self, stage: Stage) -> StageTimer<'_> {
-        StageTimer {
-            inner: self.enabled.then(|| (self, stage, Instant::now())),
-        }
-    }
-
-    /// The current instant, or `None` when disabled — for deferred spans
-    /// whose start and end live on different threads (ring wait, swap
-    /// propagation). Pair with [`StageSet::record_since`].
-    #[inline]
-    pub fn now(&self) -> Option<Instant> {
-        self.enabled.then(Instant::now)
-    }
-
-    /// Records the span from a [`StageSet::now`] origin to now. A `None`
-    /// origin (telemetry was off at the start, or the span never
-    /// started) records nothing.
-    #[inline]
-    pub fn record_since(&self, stage: Stage, origin: Option<Instant>) {
-        if let Some(origin) = origin {
-            if self.enabled {
-                self.record_micros(stage, saturating_micros(origin.elapsed()));
-            }
-        }
-    }
-
-    /// Records an externally measured duration, in microseconds.
-    #[inline]
-    pub fn record_micros(&self, stage: Stage, micros: u64) {
+    pub(crate) fn record(&self, stage: Stage, micros: u64) {
         if self.enabled {
             self.stages[stage as usize].record(micros);
         }
@@ -157,39 +123,6 @@ impl std::fmt::Debug for StageSet {
         f.debug_struct("StageSet")
             .field("enabled", &self.enabled)
             .finish_non_exhaustive()
-    }
-}
-
-fn saturating_micros(elapsed: std::time::Duration) -> u64 {
-    elapsed.as_micros().min(u128::from(u64::MAX)) as u64
-}
-
-/// A running measurement of one stage, started by [`StageSet::timer`].
-///
-/// Call [`StageTimer::commit`] to record the elapsed microseconds into
-/// the stage's histogram (and get the value back, e.g. to feed legacy
-/// max-latency counters); drop the timer to measure nothing. When the
-/// owning [`StageSet`] is disabled the timer is a true no-op: it holds
-/// no clock reading and `commit` returns 0.
-#[derive(Debug)]
-#[must_use = "a dropped StageTimer records nothing"]
-pub struct StageTimer<'a> {
-    inner: Option<(&'a StageSet, Stage, Instant)>,
-}
-
-impl StageTimer<'_> {
-    /// Records the elapsed time into the stage's histogram and returns
-    /// it in microseconds (0 when telemetry is disabled).
-    #[inline]
-    pub fn commit(self) -> u64 {
-        match self.inner {
-            Some((set, stage, start)) => {
-                let micros = saturating_micros(start.elapsed());
-                set.record_micros(stage, micros);
-                micros
-            }
-            None => 0,
-        }
     }
 }
 
@@ -236,36 +169,23 @@ mod tests {
     use super::*;
 
     #[test]
-    fn enabled_timer_records() {
+    fn enabled_set_records() {
         let set = StageSet::new(&TelemetryConfig::default());
-        let timer = set.timer(Stage::Drain);
-        std::thread::sleep(std::time::Duration::from_millis(2));
-        let micros = timer.commit();
-        assert!(micros >= 1000, "slept 2 ms, measured {micros} µs");
+        set.record(Stage::Drain, 1500);
         let snapshot = set.snapshot();
+        assert!(snapshot.enabled);
         assert_eq!(snapshot.get(Stage::Drain).count, 1);
-        assert!(snapshot.get(Stage::Drain).max >= 1000);
+        assert_eq!(snapshot.get(Stage::Drain).max, 1500);
         assert_eq!(snapshot.get(Stage::Classify).count, 0);
     }
 
     #[test]
     fn disabled_set_is_inert() {
         let set = StageSet::new(&TelemetryConfig::disabled());
-        assert!(set.now().is_none());
-        let timer = set.timer(Stage::Encode);
-        assert_eq!(timer.commit(), 0);
-        set.record_micros(Stage::Encode, 999);
-        set.record_since(Stage::RingWait, None);
+        set.record(Stage::Encode, 999);
         let snapshot = set.snapshot();
         assert!(!snapshot.enabled);
         assert!(snapshot.iter().all(|(_, h)| h.is_empty()));
-    }
-
-    #[test]
-    fn dropped_timer_discards() {
-        let set = StageSet::new(&TelemetryConfig::default());
-        drop(set.timer(Stage::Publish));
-        assert_eq!(set.snapshot().get(Stage::Publish).count, 0);
     }
 
     #[test]

@@ -2,22 +2,22 @@
 //! keyed by [`Stage`], tail-based pinning, and a point-in-time snapshot
 //! for export.
 //!
-//! The [`Tracer`] follows the same zero-cost-when-disabled discipline as
-//! [`crate::StageSet`]: with [`TraceConfig::enabled`] false (the
-//! default), [`Tracer::begin`] returns `None` without reading the clock,
-//! and every downstream call is gated on the resulting `None` — tracing
-//! off means **zero additional clock reads and zero extra hot-path
-//! work**. When on, each accepted chunk gets a [`TraceId`]; completed
-//! spans (one per pipeline stage the chunk crosses) are packed into five
-//! `u64` words and written to the [`FlightRecorder`] — allocation-free,
-//! wait-free, overwrite-oldest. Retention is tail-based: everything
+//! The [`Tracer`] reads no clock of its own: spans are timed by the
+//! [`crate::Clock`] that owns it, on the clock's one epoch, and a traced
+//! [`crate::Mark`] carries the trace id from stage to stage. With
+//! [`TraceConfig::enabled`] false (the default) no trace id is minted, so
+//! every mark stays untraced — tracing off means **zero additional clock
+//! reads and zero extra hot-path work**. When on, each accepted chunk
+//! gets a [`TraceId`]; completed spans (one per pipeline stage the chunk
+//! crosses) are packed into five `u64` words and written to the
+//! [`FlightRecorder`] — allocation-free, wait-free, overwrite-oldest.
+//! Retention is tail-based: everything
 //! lands in the recorder, and anomalies (an alarm, a discarded or
 //! dropped frame, a stage over [`TraceConfig::pin_threshold_us`], an
 //! applied model swap) *pin* the trace id so exports can surface the
 //! interesting traces even after the ring wrapped past routine ones.
 
 use std::num::NonZeroU64;
-use std::time::Instant;
 
 use laelaps_check::sync::atomic::{AtomicU64, Ordering};
 
@@ -25,7 +25,7 @@ use crate::recorder::{FlightRecorder, RECORD_WORDS};
 use crate::Stage;
 
 /// Identifies one traced chunk (or feedback segment) across its whole
-/// life. Minted by [`Tracer::begin`]; nonzero so `Option<TraceId>` is
+/// life. Minted by [`crate::Clock::begin`]; nonzero so `Option<TraceId>` is
 /// pointer-sized and a zero word in serialized form means "untraced".
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TraceId(NonZeroU64);
@@ -40,17 +40,6 @@ impl TraceId {
     pub fn from_raw(raw: u64) -> Option<TraceId> {
         NonZeroU64::new(raw).map(TraceId)
     }
-}
-
-/// A minted trace: the id plus the tracer-epoch-relative microsecond it
-/// was minted at. Carried alongside the traced payload (a session ring
-/// chunk, a feedback segment) through the pipeline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceHandle {
-    /// The trace id.
-    pub id: TraceId,
-    /// [`Tracer::now_micros`] at mint time.
-    pub start_us: u64,
 }
 
 /// Attribution attached to every span: which session, on which shard,
@@ -230,6 +219,22 @@ pub struct PinnedTrace {
     pub reason: PinReason,
 }
 
+/// The tracer's accounting counters (the spans themselves come in a
+/// [`TraceSnapshot`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TraceStats {
+    /// Whether tracing was on.
+    pub enabled: bool,
+    /// Trace ids minted.
+    pub minted: u64,
+    /// Spans written to the flight recorder (including overwritten ones).
+    pub recorded: u64,
+    /// Spans dropped to recorder slot collisions.
+    pub dropped: u64,
+    /// Distinct pinned traces currently remembered.
+    pub pinned: u64,
+}
+
 /// Point-in-time view of the tracer: decoded spans, the pinned set, and
 /// the accounting counters.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -258,13 +263,11 @@ impl TraceSnapshot {
     }
 }
 
-/// Mints trace ids, stamps span times, and records completed spans into
-/// the flight recorder. One per service, shared by every session.
+/// Mints trace ids and records completed spans into the flight recorder.
+/// Owned by a [`crate::Clock`], whose epoch all span times are measured
+/// on; one per service, shared by every session.
 pub struct Tracer {
     enabled: bool,
-    /// All span timestamps are µs since this instant (one shared epoch
-    /// keeps spans from different threads on one timeline).
-    epoch: Instant,
     next_id: AtomicU64,
     sample_every: u64,
     pin_threshold_us: u64,
@@ -275,9 +278,8 @@ pub struct Tracer {
 impl Tracer {
     /// Builds a tracer from its config. With `enabled: false` the
     /// recorder and pin set are still allocated at minimum size but
-    /// never touched (every public method early-outs before any clock
-    /// read or atomic write).
-    pub fn new(config: &TraceConfig) -> Self {
+    /// never touched (every method early-outs before any atomic write).
+    pub(crate) fn new(config: &TraceConfig) -> Self {
         let (capacity, pinned) = if config.enabled {
             (config.capacity, config.pinned_capacity)
         } else {
@@ -285,7 +287,6 @@ impl Tracer {
         };
         Tracer {
             enabled: config.enabled,
-            epoch: Instant::now(),
             next_id: AtomicU64::new(1),
             sample_every: config.sample_every.max(1),
             pin_threshold_us: config.pin_threshold_us,
@@ -300,11 +301,11 @@ impl Tracer {
         self.enabled
     }
 
-    /// Mints a trace for a newly accepted chunk: `None` when disabled
-    /// (no clock read) or when sampling skips this chunk (the id is
-    /// still consumed, keeping sampling uniform under concurrency).
+    /// Mints a trace id for a newly accepted item: `None` when disabled
+    /// or when sampling skips this item (the id is still consumed,
+    /// keeping sampling uniform under concurrency).
     #[inline]
-    pub fn begin(&self) -> Option<TraceHandle> {
+    pub(crate) fn mint(&self) -> Option<TraceId> {
         if !self.enabled {
             return None;
         }
@@ -312,25 +313,14 @@ impl Tracer {
         if self.sample_every > 1 && !id.is_multiple_of(self.sample_every) {
             return None;
         }
-        Some(TraceHandle {
-            // `id` starts at 1 and the counter would take ~585 millennia
-            // of continuous minting to wrap to 0.
-            id: TraceId(NonZeroU64::new(id).expect("trace ids start at 1")),
-            start_us: self.now_micros(),
-        })
-    }
-
-    /// Microseconds since the tracer's epoch. **Reads the clock** — call
-    /// it only under a live trace (a `Some` [`TraceHandle`] / non-empty
-    /// traced set), which is how tracing-off keeps zero clock reads.
-    #[inline]
-    pub fn now_micros(&self) -> u64 {
-        self.epoch.elapsed().as_micros().min(u128::from(u64::MAX)) as u64
+        // `id` starts at 1 and the counter would take ~585 millennia of
+        // continuous minting to wrap to 0.
+        Some(TraceId(NonZeroU64::new(id).expect("trace ids start at 1")))
     }
 
     /// Records one completed span and auto-pins the trace when the span
     /// is at or over the slow-stage threshold.
-    pub fn record(&self, id: TraceId, stage: Stage, ctx: SpanContext, start_us: u64, dur_us: u64) {
+    pub(crate) fn record(&self, id: TraceId, stage: Stage, ctx: SpanContext, start: u64, dur: u64) {
         if !self.enabled {
             return;
         }
@@ -344,8 +334,8 @@ impl Tracer {
             | (u64::from(ctx.shard) << 16)
             | (u64::from(ctx.generation) << 32);
         self.recorder
-            .write([id.get(), meta, ctx.session, start_us, dur_us]);
-        if self.pin_threshold_us > 0 && dur_us >= self.pin_threshold_us {
+            .write([id.get(), meta, ctx.session, start, dur]);
+        if self.pin_threshold_us > 0 && dur >= self.pin_threshold_us {
             self.pinned.pin(id, PinReason::SlowStage);
         }
     }
@@ -354,6 +344,17 @@ impl Tracer {
     pub fn pin(&self, id: TraceId, reason: PinReason) {
         if self.enabled {
             self.pinned.pin(id, reason);
+        }
+    }
+
+    /// The accounting counters, read without decoding any span.
+    pub fn stats(&self) -> TraceStats {
+        TraceStats {
+            enabled: self.enabled,
+            minted: self.next_id.load(Ordering::Relaxed).saturating_sub(1),
+            recorded: self.recorder.recorded(),
+            dropped: self.recorder.dropped(),
+            pinned: self.pinned.snapshot().len() as u64,
         }
     }
 
@@ -421,7 +422,7 @@ mod tests {
     fn disabled_tracer_is_inert() {
         let tracer = Tracer::new(&TraceConfig::default());
         assert!(!tracer.enabled());
-        assert!(tracer.begin().is_none());
+        assert!(tracer.mint().is_none());
         let snapshot = tracer.snapshot();
         assert!(!snapshot.enabled);
         assert!(snapshot.spans.is_empty());
@@ -431,13 +432,13 @@ mod tests {
     #[test]
     fn spans_round_trip_with_full_attribution() {
         let tracer = Tracer::new(&TraceConfig::sampled());
-        let trace = tracer.begin().expect("enabled tracer mints");
-        tracer.record(trace.id, Stage::RingWait, ctx(42), 100, 25);
-        tracer.record(trace.id, Stage::Drain, ctx(42), 125, 10);
+        let trace = tracer.mint().expect("enabled tracer mints");
+        tracer.record(trace, Stage::RingWait, ctx(42), 100, 25);
+        tracer.record(trace, Stage::Drain, ctx(42), 125, 10);
         let snapshot = tracer.snapshot();
         assert_eq!(snapshot.spans.len(), 2);
         let span = &snapshot.spans[0];
-        assert_eq!(span.trace_id, trace.id.get());
+        assert_eq!(span.trace_id, trace.get());
         assert_eq!(span.stage, Stage::RingWait);
         assert_eq!(span.session, 42);
         assert_eq!(span.shard, 3);
@@ -457,7 +458,7 @@ mod tests {
             ..TraceConfig::default()
         };
         let tracer = Tracer::new(&config);
-        let sampled = (0..100).filter(|_| tracer.begin().is_some()).count();
+        let sampled = (0..100).filter(|_| tracer.mint().is_some()).count();
         assert_eq!(sampled, 25, "every 4th mint is sampled");
     }
 
@@ -469,34 +470,60 @@ mod tests {
             ..TraceConfig::default()
         };
         let tracer = Tracer::new(&config);
-        let fast = tracer.begin().unwrap();
-        let slow = tracer.begin().unwrap();
-        tracer.record(fast.id, Stage::Drain, ctx(1), 0, 999);
-        tracer.record(slow.id, Stage::Drain, ctx(1), 0, 1000);
+        let fast = tracer.mint().unwrap();
+        let slow = tracer.mint().unwrap();
+        tracer.record(fast, Stage::Drain, ctx(1), 0, 999);
+        tracer.record(slow, Stage::Drain, ctx(1), 0, 1000);
         let snapshot = tracer.snapshot();
-        assert_eq!(snapshot.pin_reason(fast.id.get()), None);
-        assert_eq!(
-            snapshot.pin_reason(slow.id.get()),
-            Some(PinReason::SlowStage)
-        );
+        assert_eq!(snapshot.pin_reason(fast.get()), None);
+        assert_eq!(snapshot.pin_reason(slow.get()), Some(PinReason::SlowStage));
         let pinned: Vec<_> = snapshot
             .spans
             .iter()
             .filter(|s| snapshot.pin_reason(s.trace_id).is_some())
             .collect();
         assert_eq!(pinned.len(), 1);
-        assert_eq!(pinned[0].trace_id, slow.id.get());
+        assert_eq!(pinned[0].trace_id, slow.get());
     }
 
     #[test]
     fn explicit_pins_survive_and_dedupe() {
         let tracer = Tracer::new(&TraceConfig::sampled());
-        let trace = tracer.begin().unwrap();
-        tracer.pin(trace.id, PinReason::Alarm);
-        tracer.pin(trace.id, PinReason::Alarm);
+        let trace = tracer.mint().unwrap();
+        tracer.pin(trace, PinReason::Alarm);
+        tracer.pin(trace, PinReason::Alarm);
         let snapshot = tracer.snapshot();
         assert_eq!(snapshot.pinned.len(), 1);
         assert_eq!(snapshot.pinned[0].reason, PinReason::Alarm);
+    }
+
+    #[test]
+    fn stats_match_the_snapshot() {
+        let config = TraceConfig {
+            enabled: true,
+            pinned_capacity: 4,
+            ..TraceConfig::default()
+        };
+        let tracer = Tracer::new(&config);
+        let ids: Vec<_> = (0..6).map(|_| tracer.mint().unwrap()).collect();
+        for (i, id) in ids.iter().enumerate() {
+            tracer.record(*id, Stage::Drain, ctx(1), i as u64, 1);
+            // Duplicates and a wrapped pin set: distinct ids only.
+            tracer.pin(*id, PinReason::Alarm);
+            tracer.pin(ids[0], PinReason::Discard);
+        }
+        let snapshot = tracer.snapshot();
+        assert_eq!(
+            tracer.stats(),
+            TraceStats {
+                enabled: true,
+                minted: snapshot.minted,
+                recorded: snapshot.recorded,
+                dropped: snapshot.dropped,
+                pinned: snapshot.pinned.len() as u64,
+            }
+        );
+        assert_eq!(tracer.stats().pinned, 3, "ids[0] plus the last two pinned");
     }
 
     #[test]
@@ -507,14 +534,14 @@ mod tests {
             ..TraceConfig::default()
         };
         let tracer = Tracer::new(&config);
-        let traces: Vec<_> = (0..3).map(|_| tracer.begin().unwrap()).collect();
+        let traces: Vec<_> = (0..3).map(|_| tracer.mint().unwrap()).collect();
         for t in &traces {
-            tracer.pin(t.id, PinReason::Discard);
+            tracer.pin(*t, PinReason::Discard);
         }
         let snapshot = tracer.snapshot();
         assert_eq!(snapshot.pinned.len(), 2, "capacity 2 keeps the last 2");
-        assert_eq!(snapshot.pin_reason(traces[0].id.get()), None);
-        assert!(snapshot.pin_reason(traces[2].id.get()).is_some());
+        assert_eq!(snapshot.pin_reason(traces[0].get()), None);
+        assert!(snapshot.pin_reason(traces[2].get()).is_some());
     }
 
     #[test]

@@ -7,14 +7,17 @@
 //! 1. **safety-comment** — every `unsafe` block, fn, or impl in crate
 //!    sources must be immediately preceded by (or carry on the same
 //!    line) a `// SAFETY:` comment explaining why the obligation holds.
-//! 2. **hot-path-clock** — no `Instant::now()` in the drain path
-//!    (`core::{detector,encoder,lbp,am,postprocess}` and the encoder
-//!    kernel, `serve::{ring,session,service,stats,swapgate,health}`,
-//!    `telemetry::{hist,seqlock,cell,topk}`): clock reads go through
-//!    `StageTimer`/`StageSet::now` so that disabling telemetry removes
-//!    them (`telemetry::stage` is the timer's home and `telemetry::rate`
-//!    reads the clock only at construction — both are deliberately
-//!    outside the rule's file list). The health evaluator measures time
+//! 2. **hot-path-clock** — no clock read (`Instant::now()`,
+//!    `SystemTime::now()`, or a stored instant's `.elapsed()`) in the
+//!    drain path (`core::{detector,encoder,lbp,am,postprocess}` and the
+//!    encoder kernel, `serve::{ring,ready,session,service,stats,swapgate,
+//!    health}`, `telemetry::{hist,seqlock,cell,topk,stage,trace,rate,
+//!    recorder}`): timing goes through `telemetry::Clock` marks, which
+//!    hold no instant when timing and tracing are off. `telemetry::clock`
+//!    is the one module that reads the clock, so it is deliberately
+//!    outside the rule's file list; its raw read is private, so other
+//!    crates read it only through a mark, a close, or the snapshot-side
+//!    `Clock::per_sec`. The health evaluator measures time
 //!    in ticks and sleeps on a condvar timeout, so it carries the same
 //!    no-clock guarantee.
 //! 3. **facade-import** — modules migrated to the `laelaps_check::sync`
@@ -57,7 +60,15 @@ const HOT_PATH_FILES: &[&str] = &[
     "crates/telemetry/src/seqlock.rs",
     "crates/telemetry/src/cell.rs",
     "crates/telemetry/src/topk.rs",
+    "crates/telemetry/src/stage.rs",
+    "crates/telemetry/src/trace.rs",
+    "crates/telemetry/src/rate.rs",
+    "crates/telemetry/src/recorder.rs",
 ];
+
+/// Clock reads rule 2 forbids on the hot path: a fresh instant, or the
+/// time elapsed since a stored one.
+const CLOCK_READS: &[&str] = &["Instant::now()", "SystemTime::now()", ".elapsed()"];
 
 /// Files under rule 3: everything migrated to the `laelaps_check::sync`
 /// facade. Keep in sync with `CONCURRENCY.md`.
@@ -262,14 +273,16 @@ fn lint_source(rel_path: &str, content: &str) -> Vec<Violation> {
         }
 
         // Rule 2: no direct clock reads on the hot path.
-        if hot_path && !in_tests && code.contains("Instant::now()") {
+        let clock_read = CLOCK_READS.iter().find(|read| code.contains(*read));
+        if let Some(read) = clock_read.filter(|_| hot_path && !in_tests) {
             out.push(Violation {
                 file: rel_path.to_string(),
                 line: line_no,
                 rule: "hot-path-clock",
-                message: "`Instant::now()` on the hot path — route timing through \
-                          `StageTimer`/`StageSet::now` so telemetry-off removes it"
-                    .to_string(),
+                message: format!(
+                    "`{read}` on the hot path — time through a `telemetry::Clock` mark \
+                     and close, which read no clock with timing and tracing off"
+                ),
             });
         }
 
@@ -434,6 +447,52 @@ fn f(ptr: *const u8) -> u8 {
         // ...and fine inside the hot-path file's test module.
         let tested = format!("#[cfg(test)]\nmod tests {{\n{src}}}\n");
         assert!(rules_hit("crates/serve/src/ring.rs", &tested).is_empty());
+    }
+
+    #[test]
+    fn seeded_elapsed_and_system_time_reads_on_the_hot_path_fail() {
+        // A stored instant's `.elapsed()` reads the clock just as
+        // `Instant::now()` does; so does the wall clock.
+        for src in [
+            "let us = self.epoch.elapsed().as_micros();\n",
+            "let t = SystemTime::now();\n",
+        ] {
+            assert_eq!(
+                rules_hit("crates/serve/src/session.rs", src),
+                vec!["hot-path-clock"],
+                "{src} must be flagged"
+            );
+            assert!(rules_hit("crates/serve/src/net.rs", src).is_empty());
+            let tested = format!("#[cfg(test)]\nmod tests {{\n{src}}}\n");
+            assert!(rules_hit("crates/serve/src/session.rs", &tested).is_empty());
+        }
+    }
+
+    #[test]
+    fn seeded_clock_reads_in_the_telemetry_recording_modules_fail() {
+        // Stage histograms, the tracer, its flight recorder and the rate
+        // meter record on the hot path and read no clock: their instants
+        // come from the clock module's marks.
+        for file in [
+            "crates/telemetry/src/stage.rs",
+            "crates/telemetry/src/trace.rs",
+            "crates/telemetry/src/rate.rs",
+            "crates/telemetry/src/recorder.rs",
+        ] {
+            for src in ["let t = Instant::now();\n", "let d = start.elapsed();\n"] {
+                assert_eq!(
+                    rules_hit(file, src),
+                    vec!["hot-path-clock"],
+                    "{file} must be under the clock rule"
+                );
+            }
+        }
+        // The clock module is the one place that reads the clock.
+        assert!(rules_hit(
+            "crates/telemetry/src/clock.rs",
+            "let us = self.epoch.elapsed();\n"
+        )
+        .is_empty());
     }
 
     #[test]
