@@ -314,17 +314,18 @@ impl AdaptationEngine {
                 reason: "feedback segment carries no samples".into(),
             });
         }
-        self.inner.feedback_in.fetch_add(1, Ordering::Relaxed);
         // Mark at submission, so the propagation span includes the queue
         // wait and retraining, not just the swap staging. The trace (when
         // tracing is on) follows the same life: queue → retrain → staged
         // swap → applied swap.
         let submitted = self.inner.service.telemetry().clock.begin();
-        self.inner
-            .queue
-            .lock()
-            .expect("adapt queue poisoned")
-            .push_back((feedback, submitted));
+        let mut queue = self.inner.queue.lock().expect("adapt queue poisoned");
+        queue.push_back((feedback, submitted));
+        // Counted under the queue lock, after the push: a caller that
+        // sees the count and then calls `flush` finds the segment queued
+        // or in flight, so the flush waits for it.
+        self.inner.feedback_in.fetch_add(1, Ordering::Relaxed);
+        drop(queue);
         self.inner.wake.notify_all();
         Ok(())
     }

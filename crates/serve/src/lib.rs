@@ -37,7 +37,8 @@
 //! * **Network ingest** ([`net::IngestServer`] / [`net::IngestClient`]) —
 //!   a TCP front-end speaking the [`wire`] protocol, so remote producers
 //!   (a fleet of bedside acquisition devices) can drive the service.
-//!   Every message is one length-prefixed, FNV-1a-checksummed frame:
+//!   Every message is one length-prefixed, checksummed frame (wire
+//!   version 8):
 //!
 //!   ```text
 //!   offset  size  field
@@ -46,7 +47,7 @@
 //!   3       1     message type tag
 //!   4       4     payload length P (u32 LE), P ≤ 16 MiB
 //!   8       P     payload (all scalars little-endian)
-//!   8+P     8     FNV-1a 64 checksum of bytes [0, 8+P) (u64 LE)
+//!   8+P     8     four-lane word checksum of bytes [0, 8+P) (u64 LE)
 //!   ```
 //!
 //!   Clients send `Hello{patient, electrodes}` / `Frames{chunk}` /

@@ -12,7 +12,8 @@
 //!   and no frame is ever dropped silently;
 //! * the **event pump** sleeps on the service's progress signal and
 //!   streams every classification as an `Event`/`Alarm` frame back on
-//!   the same socket.
+//!   the same socket, each batch of outputs framed into one buffer and
+//!   sent with one write.
 //!
 //! After a `Close` (or client EOF) the server drains the session, flushes
 //! the remaining events, and closes the socket; the client treats the EOF
@@ -40,7 +41,7 @@
 
 mod event_log;
 
-use std::io::Read;
+use std::io::{BufReader, IoSliceMut, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -57,8 +58,8 @@ use crate::persist::ModelRegistry;
 use crate::service::DetectionService;
 use crate::session::{EventTap, PushError, SessionHandle, SessionOutput};
 use crate::wire::{
-    event_message, read_message, read_message_spanned, trace_dump_message, write_message, Message,
-    MAX_PAYLOAD,
+    append_feedback, append_frames, append_message, check_payload_len, event_message, read_message,
+    read_message_spanned, trace_dump_message, write_message, Message, MAX_PAYLOAD,
 };
 use event_log::EventLog;
 
@@ -72,6 +73,20 @@ const ACCEPT_POLL: Duration = Duration::from_millis(5);
 /// progress before re-checking (safety net; progress normally wakes
 /// them).
 const PROGRESS_WAIT: Duration = Duration::from_millis(20);
+
+/// The most capacity a connection's kept frame buffer holds between
+/// writes. A chunk of a few hundred frames fits many times over, so
+/// streaming allocates nothing per chunk; one near-[`MAX_PAYLOAD`]
+/// message is not pinned for the life of the connection.
+const KEPT_CAPACITY: usize = 1 << 20;
+
+/// Frees a kept buffer that one large message grew past
+/// [`KEPT_CAPACITY`].
+fn release_large(buf: &mut Vec<u8>) {
+    if buf.capacity() > KEPT_CAPACITY {
+        *buf = Vec::new();
+    }
+}
 
 fn is_timeout(e: &std::io::Error) -> bool {
     matches!(
@@ -90,11 +105,16 @@ struct ShutdownRead {
 
 impl Read for ShutdownRead {
     fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        self.read_vectored(&mut [IoSliceMut::new(buf)])
+    }
+
+    /// One `readv` fills a chunk's payload and its checksum.
+    fn read_vectored(&mut self, bufs: &mut [IoSliceMut<'_>]) -> std::io::Result<usize> {
         loop {
             if self.shutdown.load(Ordering::Acquire) {
                 return Ok(0);
             }
-            match self.stream.read(buf) {
+            match self.stream.read_vectored(bufs) {
                 Err(e) if is_timeout(&e) => {}
                 other => return other,
             }
@@ -112,7 +132,7 @@ struct ShutdownWrite {
     shutdown: Arc<AtomicBool>,
 }
 
-impl std::io::Write for ShutdownWrite {
+impl Write for ShutdownWrite {
     fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
         loop {
             if self.shutdown.load(Ordering::Acquire) {
@@ -630,21 +650,16 @@ fn output_message(output: SessionOutput) -> Message {
 /// `stop`, performs one final drain after the reader confirmed the
 /// session is caught up.
 fn pump_events(tap: &EventTap, writer: &SharedWriter, stop: &AtomicBool, shutdown: &AtomicBool) {
+    let mut batch = Vec::new();
     loop {
         let seen = tap.progress_generation();
-        for output in tap.take_outputs() {
-            if send(writer, &output_message(output)).is_err() {
-                return; // client went away; reader will notice EOF
-            }
+        if send_outputs(tap, writer, &mut batch).is_err() {
+            return; // client went away; reader will notice EOF
         }
         if stop.load(Ordering::Acquire) {
             // The reader set `stop` only after the session caught up (or
             // on error/shutdown): one final drain empties the outbox.
-            for output in tap.take_outputs() {
-                if send(writer, &output_message(output)).is_err() {
-                    return;
-                }
-            }
+            let _ = send_outputs(tap, writer, &mut batch);
             return;
         }
         if shutdown.load(Ordering::Acquire) {
@@ -652,6 +667,25 @@ fn pump_events(tap: &EventTap, writer: &SharedWriter, stop: &AtomicBool, shutdow
         }
         tap.wait_progress(seen, PROGRESS_WAIT);
     }
+}
+
+/// Frames every output one `take_outputs` hands over into `batch`, in
+/// stream order, and sends them with one write under the writer lock, so
+/// a `Throttle` or `Error` frame lands between batches, never inside one.
+fn send_outputs(tap: &EventTap, writer: &SharedWriter, batch: &mut Vec<u8>) -> std::io::Result<()> {
+    batch.clear();
+    for output in tap.take_outputs() {
+        append_message(batch, &output_message(output));
+    }
+    if batch.is_empty() {
+        return Ok(());
+    }
+    let sent = writer
+        .lock()
+        .expect("wire writer poisoned")
+        .write_all(batch);
+    release_large(batch);
+    sent
 }
 
 // ---------------------------------------------------------------------------
@@ -676,6 +710,9 @@ struct ClientShared {
 /// blocked on writing events back.
 pub struct IngestClient {
     stream: TcpStream,
+    /// The frame being sent, kept between sends so that streaming
+    /// allocates nothing per chunk.
+    frame: Vec<u8>,
     session: u64,
     electrodes: usize,
     reader: Option<JoinHandle<Result<()>>>,
@@ -706,7 +743,9 @@ impl IngestClient {
                 electrodes,
             },
         )?;
-        let mut read_half = stream.try_clone()?;
+        // Buffered: events arrive as many small frames. The handshake
+        // reads through the same buffer the reader thread then owns.
+        let mut read_half = BufReader::new(stream.try_clone()?);
         let session = match read_message(&mut read_half)? {
             Some(Message::Accepted { session, .. }) => session,
             Some(Message::Error { reason }) => return Err(ServeError::Remote { reason }),
@@ -737,6 +776,7 @@ impl IngestClient {
         };
         Ok(IngestClient {
             stream,
+            frame: Vec::new(),
             session,
             electrodes: electrodes.max(1) as usize,
             reader: Some(reader),
@@ -765,14 +805,19 @@ impl IngestClient {
         // number of frames so every piece still divides by `electrodes`.
         let max_samples = (MAX_PAYLOAD / 4 / self.electrodes).max(1) * self.electrodes;
         for piece in samples.chunks(max_samples) {
-            write_message(
-                &mut self.stream,
-                &Message::Frames {
-                    chunk: piece.into(),
-                },
-            )?;
+            self.send_framed(|frame| append_frames(frame, piece))?;
         }
         Ok(())
+    }
+
+    /// Frames one message into the kept buffer with `append` and writes
+    /// it.
+    fn send_framed(&mut self, append: impl FnOnce(&mut Vec<u8>)) -> Result<()> {
+        self.frame.clear();
+        append(&mut self.frame);
+        let sent = self.stream.write_all(&self.frame);
+        release_large(&mut self.frame);
+        Ok(sent?)
     }
 
     /// `Throttle` messages received so far (the server applying
@@ -797,13 +842,8 @@ impl IngestClient {
     /// [`ServeError::Protocol`] if the segment exceeds one wire frame,
     /// [`ServeError::Io`] if the connection failed.
     pub fn send_feedback(&mut self, label: Label, samples: &[f32]) -> Result<()> {
-        write_message(
-            &mut self.stream,
-            &Message::Feedback {
-                label,
-                chunk: samples.into(),
-            },
-        )
+        check_payload_len(1 + samples.len() * 4)?;
+        self.send_framed(|frame| append_feedback(frame, label, samples))
     }
 
     /// `ModelUpdated` frames received so far (hot-swaps applied to this
@@ -876,7 +916,7 @@ impl std::fmt::Debug for IngestClient {
 
 /// Collects server messages until EOF: events and alarms in order,
 /// throttle counts, or a remote error.
-fn client_reader(mut stream: TcpStream, shared: &ClientShared) -> Result<()> {
+fn client_reader(mut stream: BufReader<TcpStream>, shared: &ClientShared) -> Result<()> {
     loop {
         match read_message(&mut stream)? {
             None => return Ok(()),

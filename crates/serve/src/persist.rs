@@ -59,9 +59,10 @@ pub const MODEL_EXT: &str = "laemodel";
 // ---------------------------------------------------------------------------
 
 /// Incremental FNV-1a 64 (tiny, dependency-free; adequate for detecting
-/// accidental corruption — this is not a cryptographic seal). Shared with
-/// the wire protocol ([`crate::wire`]), which seals every frame with the
-/// same digest.
+/// accidental corruption — this is not a cryptographic seal). Model files
+/// of both format versions are sealed with it; the wire protocol
+/// ([`crate::wire`]) has its own word-wide checksum, since it has one
+/// version and carries every chunk.
 #[derive(Debug, Clone)]
 pub(crate) struct Fnv1a(u64);
 

@@ -1,9 +1,9 @@
 //! The ingest wire format: versioned, length-prefixed, checksummed frames.
 //!
 //! Every message travels as one self-delimiting binary frame sealed with
-//! the same FNV-1a 64 digest the model files use ([`crate::persist`]) —
-//! a flipped bit anywhere in a frame is caught before the payload is
-//! interpreted, and a reader never trusts a length it cannot bound.
+//! a word-wide checksum (below) — a flipped bit anywhere in a frame is
+//! caught before the payload is interpreted, and a reader never trusts a
+//! length it cannot bound.
 //!
 //! ## Frame layout
 //!
@@ -14,14 +14,33 @@
 //! 3       1     message type tag
 //! 4       4     payload length P (u32 LE), P ≤ 16 MiB
 //! 8       P     payload (all scalars little-endian)
-//! 8+P     8     FNV-1a 64 checksum of bytes [0, 8+P) (u64 LE)
+//! 8+P     8     four-lane word checksum of bytes [0, 8+P) (u64 LE)
 //! ```
 //!
-//! There is one protocol version, 7: writers stamp [`WIRE_VERSION`] on
+//! There is one protocol version, 8: writers stamp [`WIRE_VERSION`] on
 //! every frame and readers accept exactly that version. Readers gate on
 //! the version byte *before* verifying the checksum, so a frame from any
 //! other protocol version fails with [`ServeError::VersionMismatch`],
 //! not a corruption error — the same discipline as the model files.
+//!
+//! ## Checksum
+//!
+//! The checksummed bytes `[0, 8+P)` are read as 8-byte little-endian
+//! words, the last one zero-padded (the length field already fixes how
+//! many bytes are real). The header is word 0, so the tag and the payload
+//! length are covered too. Word `i` steps lane `i mod 4` of four
+//! independent 64-bit lanes — `s ← (s ⊕ w)·K; s ← s ⊕ (s ≫ 32)` with an
+//! odd `K` — and the digest folds the four final lanes, in order, through
+//! the same step from a fixed seed.
+//!
+//! Every step is a bijection of the lane state for a fixed word and of
+//! the word for a fixed state, and the fold is a bijection of each lane.
+//! A single-bit flip changes exactly one word of one lane, so it changes
+//! that lane and therefore the digest: it is caught by construction, not
+//! by chance. The lanes have no dependency on each other, so the checksum
+//! runs at multiply throughput rather than latency. The model files keep
+//! their byte-serial FNV-1a ([`crate::persist`]): the wire has one
+//! version, while files already on disk have two.
 //!
 //! ## Messages
 //!
@@ -120,7 +139,7 @@
 //! # Ok::<(), laelaps_serve::ServeError>(())
 //! ```
 
-use std::io::{Read, Write};
+use std::io::{IoSliceMut, Read, Write};
 
 use laelaps_core::{Alarm, Classification, DetectorEvent, Label};
 use laelaps_telemetry::{Clock, Mark};
@@ -128,7 +147,6 @@ use laelaps_telemetry::{Clock, Mark};
 use crate::error::{Result, ServeError};
 use crate::health::{HealthSnapshot, HealthTransition, HealthVerdict, RuleEval, SeriesSample};
 use crate::metrics::{MetricFamily, MetricKind, MetricSample};
-use crate::persist::Fnv1a;
 use crate::stats::{SessionObsRow, SessionObsSnapshot, SessionScores, SessionStats};
 
 /// Magic bytes opening every wire frame.
@@ -136,7 +154,7 @@ pub const WIRE_MAGIC: [u8; 2] = *b"LW";
 
 /// The wire format version: stamped on every frame, and the only one a
 /// reader accepts.
-pub const WIRE_VERSION: u8 = 7;
+pub const WIRE_VERSION: u8 = 8;
 
 /// Frame header length: magic + version + tag + payload length.
 pub const HEADER_LEN: usize = 8;
@@ -638,8 +656,18 @@ impl Message {
         }
     }
 
-    fn payload(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+    /// Payload bytes the message encodes to, where that is known without
+    /// encoding it: the sample payloads, which are nearly every byte the
+    /// wire carries.
+    fn sample_payload_len(&self) -> usize {
+        match self {
+            Message::Frames { chunk } => chunk.len() * 4,
+            Message::Feedback { chunk, .. } => 1 + chunk.len() * 4,
+            _ => 0,
+        }
+    }
+
+    fn encode_payload(&self, out: &mut Vec<u8>) {
         match self {
             Message::Hello {
                 patient,
@@ -649,20 +677,9 @@ impl Message {
                 out.extend_from_slice(patient.as_bytes());
                 out.extend_from_slice(&electrodes.to_le_bytes());
             }
-            Message::Frames { chunk } => {
-                out.reserve(chunk.len() * 4);
-                for &sample in chunk.iter() {
-                    out.extend_from_slice(&sample.to_le_bytes());
-                }
-            }
+            Message::Frames { chunk } => put_samples(out, chunk),
             Message::Close => {}
-            Message::Feedback { label, chunk } => {
-                out.reserve(1 + chunk.len() * 4);
-                out.push(label.is_ictal() as u8);
-                for &sample in chunk.iter() {
-                    out.extend_from_slice(&sample.to_le_bytes());
-                }
-            }
+            Message::Feedback { label, chunk } => put_feedback(out, *label, chunk),
             Message::Accepted {
                 session,
                 electrodes,
@@ -704,9 +721,9 @@ impl Message {
             Message::ModelUpdated { generation } => {
                 out.extend_from_slice(&generation.to_le_bytes());
             }
-            Message::StatsSnapshot { families } => encode_families(&mut out, families),
-            Message::HealthSnapshot { health } => encode_health(&mut out, health),
-            Message::SessionStatsSnapshot { sessions } => encode_session_obs(&mut out, sessions),
+            Message::StatsSnapshot { families } => encode_families(out, families),
+            Message::HealthSnapshot { health } => encode_health(out, health),
+            Message::SessionStatsSnapshot { sessions } => encode_session_obs(out, sessions),
             Message::TraceDump {
                 recorded,
                 dropped,
@@ -717,7 +734,7 @@ impl Message {
                 out.extend_from_slice(&dropped.to_le_bytes());
                 out.extend_from_slice(&(spans.len() as u32).to_le_bytes());
                 for span in spans {
-                    span.encode_into(&mut out);
+                    span.encode_into(out);
                 }
             }
             Message::Error { reason } => {
@@ -725,7 +742,6 @@ impl Message {
                 out.extend_from_slice(reason.as_bytes());
             }
         }
-        out
     }
 }
 
@@ -735,22 +751,198 @@ fn corrupt(reason: impl Into<String>) -> ServeError {
     }
 }
 
+// ---------------------------------------------------------------------------
+// Frame checksum
+// ---------------------------------------------------------------------------
+
+/// Independent lanes of the frame checksum: frame word `i` steps lane
+/// `i % LANES`.
+const LANES: usize = 4;
+
+/// Lane starting states: the first four SHA-512 initial hash words
+/// (arbitrary, distinct and public).
+const LANE_SEEDS: [u64; LANES] = [
+    0x6a09_e667_f3bc_c908,
+    0xbb67_ae85_84ca_a73b,
+    0x3c6e_f372_fe94_f82b,
+    0xa54f_f53a_5f1d_36f1,
+];
+
+/// Starting state of the fold over the final lanes: the fifth SHA-512
+/// initial hash word.
+const FOLD_SEED: u64 = 0x510e_527f_ade6_82d1;
+
+/// The odd multiplier of a lane step: 2⁶⁴/φ, rounded to odd.
+const LANE_MUL: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// One lane step. The xor, the multiplication by an odd constant and
+/// the xorshift are each bijective, so for a fixed word the step is a
+/// bijection of the state, and for a fixed state a bijection of the word.
+#[inline(always)]
+fn lane_step(state: u64, word: u64) -> u64 {
+    let x = (state ^ word).wrapping_mul(LANE_MUL);
+    x ^ (x >> 32)
+}
+
+fn le_word(bytes: &[u8]) -> u64 {
+    u64::from_le_bytes(bytes.try_into().expect("8 bytes"))
+}
+
+/// The frame checksum of the [module docs](self#checksum), over bytes fed
+/// in any split: a reader feeds the header and then the payload parts it
+/// read into their final buffers.
+struct FrameDigest {
+    lanes: [u64; LANES],
+    /// Whole words absorbed so far.
+    words: usize,
+    /// The leading bytes of a word that the next update completes.
+    tail: [u8; 8],
+    tail_len: usize,
+}
+
+impl FrameDigest {
+    fn new() -> Self {
+        FrameDigest {
+            lanes: LANE_SEEDS,
+            words: 0,
+            tail: [0; 8],
+            tail_len: 0,
+        }
+    }
+
+    fn word(&mut self, word: u64) {
+        let lane = &mut self.lanes[self.words % LANES];
+        *lane = lane_step(*lane, word);
+        self.words += 1;
+    }
+
+    fn update(&mut self, mut bytes: &[u8]) {
+        if self.tail_len > 0 {
+            let take = bytes.len().min(8 - self.tail_len);
+            self.tail[self.tail_len..self.tail_len + take].copy_from_slice(&bytes[..take]);
+            self.tail_len += take;
+            bytes = &bytes[take..];
+            if self.tail_len < 8 {
+                return;
+            }
+            self.tail_len = 0;
+            self.word(u64::from_le_bytes(self.tail));
+        }
+        while !self.words.is_multiple_of(LANES) && bytes.len() >= 8 {
+            self.word(le_word(&bytes[..8]));
+            bytes = &bytes[8..];
+        }
+        // From a lane-0 word on, each block of four words steps the four
+        // lanes side by side.
+        let mut blocks = bytes.chunks_exact(8 * LANES);
+        let mut lanes = self.lanes;
+        for block in &mut blocks {
+            for (lane, word) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+                *lane = lane_step(*lane, le_word(word));
+            }
+        }
+        self.lanes = lanes;
+        self.words += bytes.len() / (8 * LANES) * LANES;
+        let mut words = blocks.remainder().chunks_exact(8);
+        for word in &mut words {
+            self.word(le_word(word));
+        }
+        let rest = words.remainder();
+        self.tail[..rest.len()].copy_from_slice(rest);
+        self.tail_len = rest.len();
+    }
+
+    fn finish(mut self) -> u64 {
+        if self.tail_len > 0 {
+            self.tail[self.tail_len..].fill(0);
+            self.word(u64::from_le_bytes(self.tail));
+        }
+        self.lanes.into_iter().fold(FOLD_SEED, lane_step)
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Writing
+// ---------------------------------------------------------------------------
+
+/// Appends `samples` as little-endian `f32`s.
+fn put_samples(out: &mut Vec<u8>, samples: &[f32]) {
+    let start = out.len();
+    out.resize(start + samples.len() * 4, 0);
+    for (bytes, sample) in out[start..].chunks_exact_mut(4).zip(samples) {
+        bytes.copy_from_slice(&sample.to_le_bytes());
+    }
+}
+
+fn put_feedback(out: &mut Vec<u8>, label: Label, samples: &[f32]) {
+    out.push(label.is_ictal() as u8);
+    put_samples(out, samples);
+}
+
+/// Appends one sealed frame to `out`: the header, the payload that `body`
+/// appends (about `payload_hint` bytes, reserved up front), and the
+/// checksum over both. Every frame a writer sends is framed here.
+fn append_frame(out: &mut Vec<u8>, tag: u8, payload_hint: usize, body: impl FnOnce(&mut Vec<u8>)) {
+    out.reserve(HEADER_LEN + payload_hint + CHECKSUM_LEN);
+    let start = out.len();
+    out.extend_from_slice(&WIRE_MAGIC);
+    out.push(WIRE_VERSION);
+    out.push(tag);
+    out.extend_from_slice(&[0; 4]);
+    body(out);
+    let payload_len = (out.len() - start - HEADER_LEN) as u32;
+    out[start + 4..start + HEADER_LEN].copy_from_slice(&payload_len.to_le_bytes());
+    let mut digest = FrameDigest::new();
+    digest.update(&out[start..]);
+    out.extend_from_slice(&digest.finish().to_le_bytes());
+}
+
+/// Appends `message` to `out` as one complete wire frame; a connection
+/// batches several frames into one write this way.
+pub(crate) fn append_message(out: &mut Vec<u8>, message: &Message) {
+    append_frame(out, message.tag(), message.sample_payload_len(), |out| {
+        message.encode_payload(out)
+    });
+}
+
+/// Appends the frame of a [`Message::Frames`] carrying `samples`, without
+/// building the message.
+pub(crate) fn append_frames(out: &mut Vec<u8>, samples: &[f32]) {
+    append_frame(out, TAG_FRAMES, samples.len() * 4, |out| {
+        put_samples(out, samples)
+    });
+}
+
+/// Appends the frame of a [`Message::Feedback`] carrying `label` and
+/// `samples`, without building the message.
+pub(crate) fn append_feedback(out: &mut Vec<u8>, label: Label, samples: &[f32]) {
+    append_frame(out, TAG_FEEDBACK, 1 + samples.len() * 4, |out| {
+        put_feedback(out, label, samples)
+    });
+}
+
+/// Refuses a payload of `payload_len` bytes if it exceeds
+/// [`MAX_PAYLOAD`]: the peer could only reject its frame as corrupt.
+pub(crate) fn check_payload_len(payload_len: usize) -> Result<()> {
+    if payload_len > MAX_PAYLOAD {
+        return Err(ServeError::Protocol {
+            reason: format!(
+                "message payload of {payload_len} bytes exceeds the \
+                 {MAX_PAYLOAD}-byte frame cap"
+            ),
+        });
+    }
+    Ok(())
+}
+
 /// Encodes `message` into one complete wire frame.
 ///
 /// Does not enforce [`MAX_PAYLOAD`]; use [`write_message`], which
 /// rejects oversized messages before any byte reaches the transport
 /// (an oversized frame would be unreadable on the other end).
 pub fn encode_message(message: &Message) -> Vec<u8> {
-    let payload = message.payload();
-    let mut frame = Vec::with_capacity(HEADER_LEN + payload.len() + CHECKSUM_LEN);
-    frame.extend_from_slice(&WIRE_MAGIC);
-    frame.push(WIRE_VERSION);
-    frame.push(message.tag());
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    frame.extend_from_slice(&payload);
-    let mut checksum = Fnv1a::new();
-    checksum.update(&frame);
-    frame.extend_from_slice(&checksum.finish().to_le_bytes());
+    let mut frame = Vec::new();
+    append_message(&mut frame, message);
     frame
 }
 
@@ -763,37 +955,105 @@ pub fn encode_message(message: &Message) -> Vec<u8> {
 /// frame as corrupt), or [`ServeError::Io`] on write failure.
 pub fn write_message<W: Write>(writer: &mut W, message: &Message) -> Result<()> {
     let frame = encode_message(message);
-    let payload_len = frame.len() - HEADER_LEN - CHECKSUM_LEN;
-    if payload_len > MAX_PAYLOAD {
-        return Err(ServeError::Protocol {
-            reason: format!(
-                "message payload of {payload_len} bytes exceeds the \
-                 {MAX_PAYLOAD}-byte frame cap"
-            ),
-        });
-    }
+    check_payload_len(frame.len() - HEADER_LEN - CHECKSUM_LEN)?;
     writer.write_all(&frame)?;
     Ok(())
 }
 
-/// Reads `buf.len()` bytes, distinguishing a clean end-of-stream before
-/// the first byte (`Ok(false)`) from a mid-buffer truncation (error).
-fn read_full<R: Read>(reader: &mut R, buf: &mut [u8]) -> Result<bool> {
+// ---------------------------------------------------------------------------
+// Reading
+// ---------------------------------------------------------------------------
+
+/// Fills every buffer of `bufs`, in order, distinguishing a clean
+/// end-of-stream before the first byte (`Ok(false)`) from a truncation
+/// (error). One vectored read can fill a payload and its checksum.
+fn read_full<R: Read>(reader: &mut R, mut bufs: &mut [IoSliceMut<'_>]) -> Result<bool> {
+    let total: usize = bufs.iter().map(|buf| buf.len()).sum();
     let mut filled = 0;
-    while filled < buf.len() {
-        match reader.read(&mut buf[filled..]) {
-            Ok(0) => {
-                if filled == 0 {
-                    return Ok(false);
-                }
-                return Err(corrupt("frame truncated by end of stream"));
+    while filled < total {
+        match reader.read_vectored(bufs) {
+            Ok(0) if filled == 0 => return Ok(false),
+            Ok(0) => return Err(corrupt("frame truncated by end of stream")),
+            Ok(n) => {
+                filled += n;
+                IoSliceMut::advance_slices(&mut bufs, n);
             }
-            Ok(n) => filled += n,
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
             Err(e) => return Err(e.into()),
         }
     }
     Ok(true)
+}
+
+/// Reads the rest of a frame whose header was read: the payload into
+/// `parts`, in order, then the checksum, which must match the one
+/// computed over `header` and the parts.
+fn read_sealed<R: Read>(
+    reader: &mut R,
+    header: &[u8; HEADER_LEN],
+    parts: &mut [&mut [u8]],
+) -> Result<()> {
+    let mut footer = [0u8; CHECKSUM_LEN];
+    let count = parts.len();
+    {
+        // A payload has at most two parts (a label and the samples); one
+        // vectored read takes them and the checksum.
+        let mut bufs: [IoSliceMut<'_>; 3] = std::array::from_fn(|_| IoSliceMut::new(&mut []));
+        for (buf, part) in bufs.iter_mut().zip(parts.iter_mut()) {
+            *buf = IoSliceMut::new(part);
+        }
+        bufs[count] = IoSliceMut::new(&mut footer);
+        if !read_full(reader, &mut bufs[..=count])? {
+            return Err(corrupt("frame truncated by end of stream"));
+        }
+    }
+    let mut digest = FrameDigest::new();
+    digest.update(header);
+    for part in parts.iter() {
+        digest.update(part);
+    }
+    if digest.finish() != u64::from_le_bytes(footer) {
+        return Err(corrupt("checksum mismatch"));
+    }
+    Ok(())
+}
+
+/// A zeroed chunk of `len` samples: one allocation, which the payload is
+/// read into and which the session ring then takes.
+fn sample_chunk(len: usize) -> Box<[f32]> {
+    vec![0.0; len].into_boxed_slice()
+}
+
+/// The bytes of `samples`, so a payload is read straight into the chunk
+/// it becomes.
+fn sample_bytes(samples: &mut [f32]) -> &mut [u8] {
+    let len = std::mem::size_of_val(samples);
+    // SAFETY: the pointer comes from a live `&mut [f32]` of exactly `len`
+    // bytes, which the returned slice borrows mutably for its whole
+    // lifetime, so nothing else can access that memory meanwhile. `u8` has
+    // alignment 1, and `f32` has no padding and no invalid bit patterns, so
+    // every byte is initialized and any bytes written through the view
+    // leave valid `f32`s behind.
+    unsafe { std::slice::from_raw_parts_mut(samples.as_mut_ptr().cast::<u8>(), len) }
+}
+
+/// Turns samples read as raw little-endian bytes into native ones (a
+/// no-op on little-endian targets). Runs after the checksum, which covers
+/// the bytes as they travelled.
+fn samples_from_le(samples: &mut [f32]) {
+    if cfg!(target_endian = "big") {
+        for sample in samples {
+            *sample = f32::from_bits(u32::from_le(sample.to_bits()));
+        }
+    }
+}
+
+fn decode_label(raw: u8, what: &str) -> Result<Label> {
+    match raw {
+        0 => Ok(Label::Interictal),
+        1 => Ok(Label::Ictal),
+        other => Err(corrupt(format!("unknown {what} byte 0x{other:02x}"))),
+    }
 }
 
 /// Reads and verifies one frame from `reader`.
@@ -835,7 +1095,7 @@ pub fn read_message_spanned<R: Read>(
     clock: Option<&Clock>,
 ) -> Result<Option<(Message, Mark)>> {
     let mut header = [0u8; HEADER_LEN];
-    if !read_full(reader, &mut header)? {
+    if !read_full(reader, &mut [IoSliceMut::new(&mut header)])? {
         return Ok(None);
     }
     let decode = match clock {
@@ -860,19 +1120,32 @@ pub fn read_message_spanned<R: Read>(
             "payload length {payload_len} exceeds the {MAX_PAYLOAD}-byte cap"
         )));
     }
-    let mut rest = vec![0u8; payload_len + CHECKSUM_LEN];
-    if !read_full(reader, &mut rest)? {
-        return Err(corrupt("frame truncated by end of stream"));
-    }
-    let (payload, footer) = rest.split_at(payload_len);
-    let mut checksum = Fnv1a::new();
-    checksum.update(&header);
-    checksum.update(payload);
-    let expected = u64::from_le_bytes(footer.try_into().expect("8 bytes"));
-    if checksum.finish() != expected {
-        return Err(corrupt("checksum mismatch"));
-    }
-    let message = decode_payload(tag, payload)?;
+    let message = match tag {
+        // Whole-sample payloads are read straight into the chunk they
+        // become; other lengths fail in `decode_payload`, after the
+        // checksum like every malformed payload.
+        TAG_FRAMES if payload_len.is_multiple_of(4) => {
+            let mut chunk = sample_chunk(payload_len / 4);
+            read_sealed(reader, &header, &mut [sample_bytes(&mut chunk)])?;
+            samples_from_le(&mut chunk);
+            Message::Frames { chunk }
+        }
+        TAG_FEEDBACK if payload_len % 4 == 1 => {
+            let mut label = [0u8];
+            let mut chunk = sample_chunk(payload_len / 4);
+            read_sealed(reader, &header, &mut [&mut label, sample_bytes(&mut chunk)])?;
+            samples_from_le(&mut chunk);
+            Message::Feedback {
+                label: decode_label(label[0], "feedback label")?,
+                chunk,
+            }
+        }
+        _ => {
+            let mut payload = vec![0u8; payload_len];
+            read_sealed(reader, &header, &mut [&mut payload])?;
+            decode_payload(tag, &payload)?
+        }
+    };
     Ok(Some((message, decode)))
 }
 
@@ -939,37 +1212,13 @@ fn decode_payload(tag: u8, payload: &[u8]) -> Result<Message> {
                 electrodes,
             }
         }
-        TAG_FRAMES => {
-            if !payload.len().is_multiple_of(4) {
-                return Err(corrupt("frames payload is not whole f32 samples"));
-            }
-            let chunk: Box<[f32]> = payload
-                .chunks_exact(4)
-                .map(|c| f32::from_le_bytes(c.try_into().expect("4 bytes")))
-                .collect();
-            cursor.take(payload.len())?;
-            Message::Frames { chunk }
-        }
+        // Whole-sample `Frames` and `Feedback` payloads never get here:
+        // `read_message_spanned` reads them into their chunks.
+        TAG_FRAMES => return Err(corrupt("frames payload is not whole f32 samples")),
         TAG_CLOSE => Message::Close,
         TAG_FEEDBACK => {
-            let label = match cursor.u8()? {
-                0 => Label::Interictal,
-                1 => Label::Ictal,
-                other => {
-                    return Err(corrupt(format!(
-                        "unknown feedback label byte 0x{other:02x}"
-                    )))
-                }
-            };
-            let samples = cursor.take(payload.len() - 1)?;
-            if !samples.len().is_multiple_of(4) {
-                return Err(corrupt("feedback payload is not whole f32 samples"));
-            }
-            let chunk: Box<[f32]> = samples
-                .chunks_exact(4)
-                .map(|c| f32::from_le_bytes(c.try_into().expect("4 bytes")))
-                .collect();
-            Message::Feedback { label, chunk }
+            decode_label(cursor.u8()?, "feedback label")?;
+            return Err(corrupt("feedback payload is not whole f32 samples"));
         }
         TAG_ACCEPTED => Message::Accepted {
             session: cursor.u64()?,
@@ -983,11 +1232,7 @@ fn decode_payload(tag: u8, payload: &[u8]) -> Result<Message> {
             let index = cursor.u64()?;
             let end_sample = cursor.u64()?;
             let time_secs = cursor.f64_bits()?;
-            let label = match cursor.u8()? {
-                0 => Label::Interictal,
-                1 => Label::Ictal,
-                other => return Err(corrupt(format!("unknown label byte 0x{other:02x}"))),
-            };
+            let label = decode_label(cursor.u8()?, "label")?;
             let dist_interictal = cursor.u64()? as usize;
             let dist_ictal = cursor.u64()? as usize;
             let alarm = if tag == TAG_ALARM {

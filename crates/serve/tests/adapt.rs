@@ -603,3 +603,64 @@ fn engine_closes_the_feedback_retrain_publish_swap_loop() {
     drop(engine);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn flush_after_feedback_in_rises_waits_for_the_counted_segment() {
+    // `feedback_in` must count a segment only once it is queued: a caller
+    // that sees the count reach n and then flushes must find all n
+    // segments processed. Each round races one submission against a
+    // waiter spinning on the count; no model exists for the patient, so
+    // every segment fails fast on the worker and counts as a failure.
+    let dir = std::env::temp_dir().join(format!("laelaps-adapt-count-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let registry = Arc::new(ModelRegistry::open(&dir).unwrap());
+    let service = Arc::new(DetectionService::new(ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    }));
+    let engine = AdaptationEngine::new(service, registry);
+    let rounds = 2_000u64;
+    let start = std::sync::Barrier::new(2);
+    // The first round whose flush returned early, and what it found. The
+    // rounds run to the end either way, so the submitter never waits at
+    // the barrier for a waiter that panicked.
+    let mut early = None;
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            for _ in 0..rounds {
+                start.wait();
+                engine
+                    .submit(FeedbackSegment {
+                        patient: "NOBODY".into(),
+                        label: Label::Ictal,
+                        samples: vec![0.0f32; 4].into(),
+                    })
+                    .unwrap();
+            }
+        });
+        for n in 1..=rounds {
+            start.wait();
+            let mut spins = 0u32;
+            while engine.stats().feedback_in < n {
+                spins += 1;
+                if spins.is_multiple_of(64) {
+                    std::thread::yield_now();
+                } else {
+                    std::hint::spin_loop();
+                }
+            }
+            engine.flush();
+            let stats = engine.stats();
+            let processed = stats.retrains + stats.failures;
+            if processed != n && early.is_none() {
+                early = Some((n, processed));
+            }
+        }
+    });
+    assert_eq!(
+        early, None,
+        "(round, segments processed): flush returned before a counted segment was processed"
+    );
+    drop(engine);
+    let _ = std::fs::remove_dir_all(&dir);
+}

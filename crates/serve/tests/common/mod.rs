@@ -4,6 +4,9 @@
 // different subset of it.
 #![allow(dead_code)]
 
+pub mod alloc;
+pub mod wire_digest;
+
 use laelaps_core::{LaelapsConfig, PatientModel, Trainer, TrainingData};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

@@ -9,6 +9,7 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
+use common::wire_digest::seal;
 use common::{interleave, trained_model, two_state_signal};
 use laelaps_core::{Detector, Label};
 use laelaps_serve::adapt::AdaptationEngine;
@@ -184,17 +185,6 @@ fn protocol_violations_come_back_as_wire_errors() {
         None => panic!("stream closed without an Error frame"),
     }
     let _ = std::fs::remove_dir_all(registry.dir());
-}
-
-/// Appends the FNV-1a 64 checksum over the current frame bytes (for
-/// hand-built hostile frames).
-fn seal(frame: &mut Vec<u8>) {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in frame.iter() {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    frame.extend_from_slice(&hash.to_le_bytes());
 }
 
 /// Opens a raw connection, performs the handshake, and returns the

@@ -2,6 +2,9 @@
 //! truncated, and future-version frames are rejected with the right
 //! errors, and nothing malformed reaches the message layer.
 
+mod common;
+
+use common::wire_digest::{reseal, seal};
 use laelaps_serve::metrics::{MetricFamily, MetricKind, MetricSample};
 use laelaps_serve::wire::{
     encode_message, read_message, write_message, Message, WireSpan, CHECKSUM_LEN, HEADER_LEN,
@@ -575,19 +578,91 @@ fn unknown_verdict_byte_is_corrupt() {
     );
 }
 
-/// Recomputes and replaces the trailing checksum of a hand-patched frame
-/// (FNV-1a 64, the same digest the writer uses).
-fn reseal(frame: &mut Vec<u8>) {
-    frame.truncate(frame.len() - CHECKSUM_LEN);
-    seal(frame);
+/// One full chunk at the deployment shape: 256 frames × 12 electrodes.
+fn full_chunk_frame() -> Vec<u8> {
+    let chunk: Box<[f32]> = (0..256 * 12).map(|i| (i as f32 * 0.37).sin()).collect();
+    encode_message(&Message::Frames { chunk })
 }
 
-/// Appends the FNV-1a 64 checksum over the current frame bytes.
-fn seal(frame: &mut Vec<u8>) {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in frame.iter() {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
+#[test]
+fn every_bit_flip_and_truncation_of_a_full_chunk_is_corrupt() {
+    let frame = full_chunk_frame();
+    assert_eq!(frame.len(), 12_304);
+    // Bytes 0–2 (magic and version) are gated by their own checks; every
+    // other bit is covered by the checksum or bounds the read.
+    let mut corrupted = frame.clone();
+    for position in 3..frame.len() {
+        for bit in 0..8 {
+            corrupted[position] ^= 1 << bit;
+            let outcome = read_message(&mut corrupted.as_slice());
+            assert!(
+                matches!(outcome, Err(ServeError::Corrupt { .. })),
+                "flip of bit {bit} at byte {position} was not corrupt: {:?}",
+                outcome.map(|m| m.is_some())
+            );
+            corrupted[position] ^= 1 << bit;
+        }
     }
-    frame.extend_from_slice(&hash.to_le_bytes());
+    for cut in 1..frame.len() {
+        let outcome = read_message(&mut &frame[..cut]);
+        assert!(
+            matches!(outcome, Err(ServeError::Corrupt { .. })),
+            "cut at {cut} was not corrupt: {:?}",
+            outcome.map(|m| m.is_some())
+        );
+    }
+    assert_eq!(read_message(&mut &frame[..0]).unwrap(), None);
+}
+
+#[test]
+fn the_frame_checksum_has_a_known_answer() {
+    // Pins the v8 digest itself: a change to the lanes, seeds, multiplier,
+    // padding or fold changes this value, and with it the format.
+    let frame = hello_frame();
+    let (sealed, footer) = frame.split_at(frame.len() - CHECKSUM_LEN);
+    assert_eq!(
+        u64::from_le_bytes(footer.try_into().unwrap()),
+        KNOWN_HELLO_DIGEST
+    );
+    assert_eq!(
+        common::wire_digest::frame_digest(sealed),
+        KNOWN_HELLO_DIGEST
+    );
+}
+
+/// The digest of [`hello_frame`], computed once from the definition.
+const KNOWN_HELLO_DIGEST: u64 = 0x9f44_c907_e327_191e;
+
+#[test]
+fn writer_and_reader_agree_with_the_reference_digest_at_every_length() {
+    // Payload lengths across every residue of the four-lane block, on the
+    // writer's contiguous path and on the reader's split paths (the label
+    // byte then the samples of a Feedback, the samples of a Frames).
+    for len in 0..40usize {
+        let samples: Box<[f32]> = (0..len).map(|i| i as f32 - 7.5).collect();
+        let patient = "p".repeat(len);
+        for message in [
+            Message::Hello {
+                patient,
+                electrodes: 3,
+            },
+            Message::Frames {
+                chunk: samples.clone(),
+            },
+            Message::Feedback {
+                label: laelaps_core::Label::Ictal,
+                chunk: samples,
+            },
+        ] {
+            let frame = encode_message(&message);
+            let mut hand_sealed = frame[..frame.len() - CHECKSUM_LEN].to_vec();
+            seal(&mut hand_sealed);
+            assert_eq!(hand_sealed, frame, "writer digest at length {len}");
+            assert_eq!(
+                read_message(&mut hand_sealed.as_slice()).unwrap(),
+                Some(message),
+                "reader digest at length {len}"
+            );
+        }
+    }
 }

@@ -12,7 +12,9 @@
 //!    drain path (`core::{detector,encoder,lbp,am,postprocess}` and the
 //!    encoder kernel, `serve::{ring,ready,session,service,stats,swapgate,
 //!    health}`, `telemetry::{hist,seqlock,cell,topk,stage,trace,rate,
-//!    recorder}`): timing goes through `telemetry::Clock` marks, which
+//!    recorder}`) and in the wire codec (`serve::wire`, which decodes
+//!    every chunk on the TCP path): timing goes through `telemetry::Clock`
+//!    marks, which
 //!    hold no instant when timing and tracing are off. `telemetry::clock`
 //!    is the one module that reads the clock, so it is deliberately
 //!    outside the rule's file list; its raw read is private, so other
@@ -40,8 +42,9 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 /// Files (workspace-relative, `/`-separated) under rule 2: the drain
-/// path every frame takes, where a stray clock read costs ~20–60 ns per
-/// frame and defeats the telemetry-off guarantee.
+/// path every frame takes and the codec every TCP chunk crosses, where a
+/// stray clock read costs ~20–60 ns per read and defeats the
+/// telemetry-off guarantee.
 const HOT_PATH_FILES: &[&str] = &[
     "crates/core/src/detector.rs",
     "crates/core/src/encoder.rs",
@@ -56,6 +59,7 @@ const HOT_PATH_FILES: &[&str] = &[
     "crates/serve/src/stats.rs",
     "crates/serve/src/swapgate.rs",
     "crates/serve/src/health.rs",
+    "crates/serve/src/wire.rs",
     "crates/telemetry/src/hist.rs",
     "crates/telemetry/src/seqlock.rs",
     "crates/telemetry/src/cell.rs",
@@ -608,6 +612,22 @@ fn f(ptr: *const u8) -> u8 {
                 vec!["hot-path-clock"],
                 "{file} must be under the clock rule"
             );
+        }
+    }
+
+    #[test]
+    fn seeded_clock_read_in_the_wire_codec_fails() {
+        // The codec decodes every chunk on the TCP path and times its
+        // decode only through the `Clock` mark the reader opens; the
+        // connection code around it (`net.rs`) stays off the list.
+        let file = "crates/serve/src/wire.rs";
+        for src in ["let t = Instant::now();\n", "let d = start.elapsed();\n"] {
+            assert_eq!(
+                rules_hit(file, src),
+                vec!["hot-path-clock"],
+                "{file} must be under the clock rule"
+            );
+            assert!(rules_hit("crates/serve/src/net.rs", src).is_empty());
         }
     }
 
