@@ -5,24 +5,25 @@
 //! cargo run -p laelaps-bench --release --bin dtune -- [--ids P1,P5] [--scale N]
 //! ```
 
-use laelaps_bench::arg_value;
+use laelaps_bench::args_or_exit;
 use laelaps_eval::experiments::{render_dtune, run_dtune_patient};
 use laelaps_ieeg::synth::{cohort_subset, CohortOptions};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut cohort = CohortOptions {
-        time_scale: 2400.0,
+    let args = args_or_exit(
+        "dtune [--ids P1,P5,..] [--scale N]",
+        &["--ids", "--scale"],
+        &[],
+    )
+    .flags_only();
+    let cohort = CohortOptions {
+        time_scale: args.parsed("--scale", 2400.0),
         ..CohortOptions::default()
     };
-    if let Some(s) = arg_value(&args, "--scale") {
-        cohort.time_scale = s.parse().expect("--scale takes a number");
-    }
-    let ids: Vec<String> = arg_value(&args, "--ids")
-        .map(|s| s.split(',').map(str::to_string).collect())
-        .unwrap_or_else(|| vec!["P3".into(), "P5".into(), "P11".into(), "P17".into()]);
-    let id_refs: Vec<&str> = ids.iter().map(String::as_str).collect();
-    let profiles = cohort_subset(&cohort, &id_refs);
+    let ids: Vec<&str> = args
+        .value("--ids")
+        .map_or(vec!["P3", "P5", "P11", "P17"], |s| s.split(',').collect());
+    let profiles = cohort_subset(&cohort, &ids);
     let mut results = Vec::new();
     for profile in &profiles {
         eprintln!("tuning {} ...", profile.info.id);

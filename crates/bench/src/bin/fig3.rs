@@ -8,24 +8,25 @@
 //! cargo run -p laelaps-bench --release --bin fig3 -- [--full] [--scale N] [--seed N]
 //! ```
 
-use laelaps_bench::{arg_present, arg_value};
+use laelaps_bench::args_or_exit;
 use laelaps_eval::experiments::{render_fig3, run_fig3, run_table1, Table1Options};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let args = args_or_exit(
+        "fig3 [--full] [--scale N] [--seed N]",
+        &["--scale", "--seed"],
+        &["--full"],
+    )
+    .flags_only();
     let mut options = Table1Options::default();
-    if !arg_present(&args, "--full") {
+    if !args.present("--full") {
         // Default: a representative six-patient subset around the median
         // electrode count, at a coarser time scale.
         options.ids = Some(vec!["P2", "P3", "P7", "P8", "P13", "P17"]);
         options.time_scale = 2400.0;
     }
-    if let Some(s) = arg_value(&args, "--scale") {
-        options.time_scale = s.parse().expect("--scale takes a number");
-    }
-    if let Some(s) = arg_value(&args, "--seed") {
-        options.seed = s.parse().expect("--seed takes an integer");
-    }
+    options.time_scale = args.parsed("--scale", options.time_scale);
+    options.seed = args.parsed("--seed", options.seed);
     eprintln!(
         "running Fig. 3 FDR pass (scale 1/{}) ...",
         options.time_scale

@@ -48,7 +48,7 @@
 use std::net::TcpStream;
 
 use laelaps_bench::json::Json;
-use laelaps_bench::{arg_present, arg_value, chrome, metrics_json, prom, session_obs_json};
+use laelaps_bench::{args_or_exit, chrome, metrics_json, prom, session_obs_json};
 use laelaps_serve::metrics::{value, MetricFamily};
 use laelaps_serve::wire::{read_message, write_message, Message};
 use laelaps_serve::{
@@ -60,66 +60,44 @@ fn fail(reason: &str) -> ! {
     std::process::exit(1);
 }
 
-/// Sends one request and reads its reply on a fresh connection.
-fn exchange(addr: &str, request: &Message) -> Message {
+/// Sends `requests` back to back on one fresh introspection connection
+/// (it keeps answering until `Close`) and reads the reply to each.
+fn exchange<const N: usize>(addr: &str, requests: [Message; N]) -> [Message; N] {
     let mut stream = TcpStream::connect(addr)
         .unwrap_or_else(|e| fail(&format!("cannot connect to {addr}: {e}")));
-    write_message(&mut stream, request).unwrap_or_else(|e| fail(&format!("request failed: {e}")));
-    let reply = read_message(&mut stream)
-        .unwrap_or_else(|e| fail(&format!("malformed reply: {e}")))
-        .unwrap_or_else(|| fail("server closed without answering"));
-    let _ = write_message(&mut stream, &Message::Close);
-    reply
-}
-
-/// Fetches every service metric with one `StatsRequest`.
-fn fetch_metrics(addr: &str) -> Vec<MetricFamily> {
-    match exchange(addr, &Message::StatsRequest) {
-        Message::StatsSnapshot { families } => families,
-        other => fail(&format!("expected StatsSnapshot, got {other:?}")),
-    }
-}
-
-/// Fetches the metrics, health, *and* per-session snapshots on one
-/// introspection connection (three requests back to back — the
-/// introspection exchange keeps answering until `Close`).
-fn fetch_snapshots(
-    addr: &str,
-) -> (
-    Vec<MetricFamily>,
-    Box<HealthSnapshot>,
-    Box<SessionObsSnapshot>,
-) {
-    let mut stream = TcpStream::connect(addr)
-        .unwrap_or_else(|e| fail(&format!("cannot connect to {addr}: {e}")));
-    let mut ask = |request: &Message| -> Message {
-        write_message(&mut stream, request)
+    let replies = requests.map(|request| {
+        write_message(&mut stream, &request)
             .unwrap_or_else(|e| fail(&format!("request failed: {e}")));
         read_message(&mut stream)
             .unwrap_or_else(|e| fail(&format!("malformed reply: {e}")))
             .unwrap_or_else(|| fail("server closed without answering"))
-    };
-    let families = match ask(&Message::StatsRequest) {
-        Message::StatsSnapshot { families } => families,
-        other => fail(&format!("expected StatsSnapshot, got {other:?}")),
-    };
-    let health = match ask(&Message::HealthRequest) {
-        Message::HealthSnapshot { health } => health,
-        other => fail(&format!("expected HealthSnapshot, got {other:?}")),
-    };
-    let sessions = match ask(&Message::SessionStatsRequest { session: None }) {
-        Message::SessionStatsSnapshot { sessions } => sessions,
-        other => fail(&format!("expected SessionStatsSnapshot, got {other:?}")),
-    };
+    });
     let _ = write_message(&mut stream, &Message::Close);
-    (families, health, sessions)
+    replies
 }
 
-/// Fetches one per-session snapshot, optionally with a lookup row.
-fn fetch_sessions(addr: &str, session: Option<u64>) -> Box<SessionObsSnapshot> {
-    match exchange(addr, &Message::SessionStatsRequest { session }) {
+fn unexpected(expected: &str, reply: Message) -> ! {
+    fail(&format!("expected {expected}, got {reply:?}"))
+}
+
+fn metrics_of(reply: Message) -> Vec<MetricFamily> {
+    match reply {
+        Message::StatsSnapshot { families } => families,
+        other => unexpected("StatsSnapshot", other),
+    }
+}
+
+fn health_of(reply: Message) -> Box<HealthSnapshot> {
+    match reply {
+        Message::HealthSnapshot { health } => health,
+        other => unexpected("HealthSnapshot", other),
+    }
+}
+
+fn sessions_of(reply: Message) -> Box<SessionObsSnapshot> {
+    match reply {
         Message::SessionStatsSnapshot { sessions } => sessions,
-        other => fail(&format!("expected SessionStatsSnapshot, got {other:?}")),
+        other => unexpected("SessionStatsSnapshot", other),
     }
 }
 
@@ -274,15 +252,9 @@ fn print_session_row(row: &SessionObsRow, ticks: u64) {
     );
 }
 
-/// One-character sparkline over a series column, scaled to the column's
-/// own maximum.
-fn sparkline(series: &[Vec<u64>], word: usize) -> String {
+/// One character per value, scaled to `max`, the values' maximum.
+fn sparkline(values: &[u64], max: u64) -> String {
     const RAMP: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
-    let values: Vec<u64> = series
-        .iter()
-        .map(|row| row.get(word).copied().unwrap_or(0))
-        .collect();
-    let max = values.iter().copied().max().unwrap_or(0);
     values
         .iter()
         .map(|&v| {
@@ -306,22 +278,22 @@ fn print_watch(families: &[MetricFamily], health: &HealthSnapshot, sessions: &Se
         print_sessions(sessions);
     }
     if health.enabled && !health.series.is_empty() {
-        let rows: Vec<Vec<u64>> = health.series.iter().map(|s| s.words.clone()).collect();
         println!();
-        println!("last {} evaluation ticks:", rows.len());
+        println!("last {} evaluation ticks:", health.series.len());
         for word in 0..SAMPLE_WORDS {
-            let values: Vec<u64> = rows
+            let values: Vec<u64> = health
+                .series
                 .iter()
-                .map(|r| r.get(word).copied().unwrap_or(0))
+                .map(|s| s.words.get(word).copied().unwrap_or(0))
                 .collect();
             let max = values.iter().copied().max().unwrap_or(0);
-            // Only show columns that moved — ten stage-p99 columns of
-            // flat zero are noise, not signal.
+            // Only show columns that moved — stage-p99 columns of flat
+            // zero are noise, not signal.
             if max == 0 {
                 continue;
             }
             let name = sample_label(word).unwrap_or_else(|| format!("word_{word}"));
-            println!("{:<24} {} (max {max})", name, sparkline(&rows, word));
+            println!("{:<24} {} (max {max})", name, sparkline(&values, max));
         }
     }
 }
@@ -406,75 +378,90 @@ fn print_stats(families: &[MetricFamily]) {
     }
 }
 
+const USAGE: &str = "laelapsctl --addr HOST:PORT [stats|trace|health|sessions|watch|top] \
+                     [--json|--prom] [--limit N] [--out PATH] [--session ID] \
+                     [--interval S] [--count N]";
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let addr = arg_value(&args, "--addr")
-        .unwrap_or_else(|| fail("--addr HOST:PORT is required (the IngestServer address)"));
-    let command = args
-        .iter()
-        .find(|a| !a.starts_with("--") && a.as_str() != addr)
-        .map(String::as_str)
-        .unwrap_or("stats");
+    let args = args_or_exit(
+        USAGE,
+        &[
+            "--addr",
+            "--limit",
+            "--out",
+            "--session",
+            "--interval",
+            "--count",
+        ],
+        &["--json", "--prom"],
+    );
+    let addr = args
+        .value("--addr")
+        .unwrap_or_else(|| fail("--addr HOST:PORT is required (the IngestServer address)"))
+        .to_string();
+    let command = match args.positionals.as_slice() {
+        [] => "stats",
+        [command] => command.as_str(),
+        more => args.usage_error(&format!("one command, got {more:?}")),
+    };
 
     match command {
         "stats" => {
-            let families = fetch_metrics(&addr);
-            if arg_present(&args, "--prom") {
+            let [reply] = exchange(&addr, [Message::StatsRequest]);
+            let families = metrics_of(reply);
+            if args.present("--prom") {
                 print!("{}", prom::render(&families));
-            } else if arg_present(&args, "--json") {
+            } else if args.present("--json") {
                 print!("{}", metrics_json(&families).render_pretty());
             } else {
                 print_stats(&families);
             }
         }
         "health" => {
-            let reply = exchange(&addr, &Message::HealthRequest);
-            let Message::HealthSnapshot { health } = reply else {
-                fail(&format!("expected HealthSnapshot, got {reply:?}"));
-            };
-            if arg_present(&args, "--json") {
+            let [reply] = exchange(&addr, [Message::HealthRequest]);
+            let health = health_of(reply);
+            if args.present("--json") {
                 print!("{}", health_json(&health).render_pretty());
             } else {
                 print_health(&health);
             }
         }
         "sessions" => {
-            let session = arg_value(&args, "--session").map(|v| {
-                v.parse::<u64>()
-                    .unwrap_or_else(|_| fail("--session takes a session id"))
-            });
-            let sessions = fetch_sessions(&addr, session);
-            if arg_present(&args, "--json") {
+            let session = args
+                .present("--session")
+                .then(|| args.parsed("--session", 0u64));
+            let [reply] = exchange(&addr, [Message::SessionStatsRequest { session }]);
+            let sessions = sessions_of(reply);
+            if args.present("--json") {
                 print!("{}", session_obs_json(&sessions).render_pretty());
             } else {
                 print_sessions(&sessions);
             }
         }
         "watch" | "top" => {
-            let interval = arg_value(&args, "--interval")
-                .map(|v| {
-                    v.parse::<f64>()
-                        .unwrap_or_else(|_| fail("--interval takes seconds"))
-                })
-                .unwrap_or(2.0)
-                .max(0.1);
-            let count = arg_value(&args, "--count")
-                .map(|v| {
-                    v.parse::<usize>()
-                        .unwrap_or_else(|_| fail("--count takes a number"))
-                })
-                .unwrap_or(0);
+            let interval = args.parsed("--interval", 2.0f64).max(0.1);
+            let count = args.parsed("--count", 0usize);
             let mut shown = 0usize;
             loop {
                 // Clear + home, like top: the view repaints in place.
                 if command == "top" {
-                    let sessions = fetch_sessions(&addr, None);
+                    let [reply] = exchange(&addr, [Message::SessionStatsRequest { session: None }]);
+                    let sessions = sessions_of(reply);
                     print!("\x1b[2J\x1b[H");
                     println!("laelapsctl top — {addr} (refresh {interval}s, ctrl-c to stop)");
                     println!();
                     print_sessions(&sessions);
                 } else {
-                    let (families, health, sessions) = fetch_snapshots(&addr);
+                    let [stats, health, sessions] = exchange(
+                        &addr,
+                        [
+                            Message::StatsRequest,
+                            Message::HealthRequest,
+                            Message::SessionStatsRequest { session: None },
+                        ],
+                    );
+                    let (families, health) = (metrics_of(stats), health_of(health));
+                    let sessions = sessions_of(sessions);
                     print!("\x1b[2J\x1b[H");
                     println!("laelapsctl watch — {addr} (refresh {interval}s, ctrl-c to stop)");
                     println!();
@@ -490,10 +477,8 @@ fn main() {
             }
         }
         "trace" => {
-            let limit = arg_value(&args, "--limit")
-                .map(|v| v.parse().unwrap_or_else(|_| fail("--limit takes a number")))
-                .unwrap_or(0u32);
-            let reply = exchange(&addr, &Message::TraceDumpRequest { limit });
+            let limit = args.parsed("--limit", 0u32);
+            let [reply] = exchange(&addr, [Message::TraceDumpRequest { limit }]);
             let Message::TraceDump {
                 recorded,
                 dropped,
@@ -507,9 +492,9 @@ fn main() {
                 spans.len()
             );
             let doc = chrome::trace_document(&chrome::wire_spans(&spans));
-            match arg_value(&args, "--out") {
+            match args.value("--out") {
                 Some(path) => {
-                    std::fs::write(&path, doc.render_pretty())
+                    std::fs::write(path, doc.render_pretty())
                         .unwrap_or_else(|e| fail(&format!("cannot write {path}: {e}")));
                     eprintln!("laelapsctl: wrote {path} (load it in https://ui.perfetto.dev)");
                 }

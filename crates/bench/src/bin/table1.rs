@@ -3,26 +3,31 @@
 //!
 //! ```text
 //! cargo run -p laelaps-bench --release --bin table1 -- \
-//!     [--scale 1800] [--seed 2019] [--ids P1,P5,P14] [--no-baselines] [--dim 2000]
+//!     [--scale 1800] [--seed 2019] [--ids P1,P5,P14] [--no-baselines] [--dim 2000] \
+//!     [--threads N]
 //! ```
 
-use laelaps_bench::{arg_present, arg_value};
+use laelaps_bench::args_or_exit;
 use laelaps_eval::experiments::{render_table1, run_table1, Table1Options};
 use laelaps_ieeg::PATIENTS;
 
+const USAGE: &str = "table1 [--scale N] [--seed N] [--ids P1,P5,..] [--no-baselines] \
+                     [--dim D] [--threads N]";
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let args = args_or_exit(
+        USAGE,
+        &["--scale", "--seed", "--dim", "--ids", "--threads"],
+        &["--no-baselines"],
+    )
+    .flags_only();
     let mut options = Table1Options::default();
-    if let Some(s) = arg_value(&args, "--scale") {
-        options.time_scale = s.parse().expect("--scale takes a number");
+    options.time_scale = args.parsed("--scale", options.time_scale);
+    options.seed = args.parsed("--seed", options.seed);
+    if args.present("--dim") {
+        options.dim_override = Some(args.parsed("--dim", 0));
     }
-    if let Some(s) = arg_value(&args, "--seed") {
-        options.seed = s.parse().expect("--seed takes an integer");
-    }
-    if let Some(s) = arg_value(&args, "--dim") {
-        options.dim_override = Some(s.parse().expect("--dim takes an integer"));
-    }
-    if let Some(s) = arg_value(&args, "--ids") {
+    if let Some(s) = args.value("--ids") {
         let ids: Vec<&'static str> = s
             .split(',')
             .map(|want| {
@@ -30,17 +35,13 @@ fn main() {
                     .iter()
                     .map(|p| p.id)
                     .find(|id| *id == want)
-                    .unwrap_or_else(|| panic!("unknown patient id {want:?}"))
+                    .unwrap_or_else(|| args.usage_error(&format!("unknown patient id {want:?}")))
             })
             .collect();
         options.ids = Some(ids);
     }
-    if arg_present(&args, "--no-baselines") {
-        options.with_baselines = false;
-    }
-    if let Some(s) = arg_value(&args, "--threads") {
-        options.threads = s.parse().expect("--threads takes an integer");
-    }
+    options.with_baselines = !args.present("--no-baselines");
+    options.threads = args.parsed("--threads", options.threads);
 
     eprintln!(
         "running Table I: scale 1/{}, seed {}, {} patients, baselines: {}",

@@ -5,8 +5,10 @@
 //! cargo run -p laelaps-bench --release --bin table2
 //! ```
 
+use laelaps_bench::args_or_exit;
 use laelaps_eval::experiments::{render_table2, run_table2};
 
 fn main() {
+    args_or_exit("table2", &[], &[]).flags_only();
     println!("{}", render_table2(&run_table2()));
 }

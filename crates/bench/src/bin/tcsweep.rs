@@ -6,27 +6,28 @@
 //! cargo run -p laelaps-bench --release --bin tcsweep -- [--ids P3,P5] [--scale N]
 //! ```
 
-use laelaps_bench::arg_value;
+use laelaps_bench::args_or_exit;
 use laelaps_core::tuning::tune_tr;
 use laelaps_eval::experiments::{render_tc_sweep, run_tc_sweep, PatientStream};
 use laelaps_eval::runner::{run_laelaps_test, train_laelaps, PreparedPatient};
 use laelaps_ieeg::synth::{cohort_subset, CohortOptions};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut cohort = CohortOptions {
-        time_scale: 2400.0,
+    let args = args_or_exit(
+        "tcsweep [--ids P1,P5,..] [--scale N]",
+        &["--ids", "--scale"],
+        &[],
+    )
+    .flags_only();
+    let cohort = CohortOptions {
+        time_scale: args.parsed("--scale", 2400.0),
         ..CohortOptions::default()
     };
-    if let Some(s) = arg_value(&args, "--scale") {
-        cohort.time_scale = s.parse().expect("--scale takes a number");
-    }
-    let ids: Vec<String> = arg_value(&args, "--ids")
-        .map(|s| s.split(',').map(str::to_string).collect())
-        .unwrap_or_else(|| vec!["P3".into(), "P8".into(), "P11".into(), "P17".into()]);
-    let id_refs: Vec<&str> = ids.iter().map(String::as_str).collect();
+    let ids: Vec<&str> = args
+        .value("--ids")
+        .map_or(vec!["P3", "P8", "P11", "P17"], |s| s.split(',').collect());
     let mut streams = Vec::new();
-    for profile in cohort_subset(&cohort, &id_refs) {
+    for profile in cohort_subset(&cohort, &ids) {
         eprintln!("preparing {} ...", profile.info.id);
         let prep = match PreparedPatient::new(&profile) {
             Ok(p) => p,

@@ -1,12 +1,12 @@
 //! A minimal JSON value with a writer and a recursive-descent parser.
 //!
-//! The build environment has no registry access, so the machine-readable
-//! bench artifacts (`BENCH_serve.json`, the criterion summary dump) are
-//! produced and validated with this hand-rolled implementation instead
-//! of `serde_json`. It covers the JSON the harness emits: objects keep
-//! insertion order, numbers round-trip as `f64` (integers up to 2^53
-//! render without a fractional part), and strings support the standard
-//! escapes including `\uXXXX` (surrogate pairs folded on parse).
+//! The build environment has no registry access, so the bench crate's
+//! JSON (`laelapsctl --json`, Chrome trace exports) is written, and
+//! `BENCHMARK.json` and perfbench's result lines are read, with this
+//! hand-rolled implementation instead of `serde_json`. Objects keep insertion order, numbers round-trip as
+//! `f64` (integers up to 2^53 render without a fractional part), and
+//! strings support the standard escapes including `\uXXXX` (surrogate
+//! pairs folded on parse).
 
 use std::fmt::Write as _;
 
@@ -85,8 +85,8 @@ impl Json {
         out
     }
 
-    /// Two-space-indented rendering with a trailing newline — the format
-    /// of committed artifacts, diffable across runs.
+    /// Two-space-indented rendering with a trailing newline, for people
+    /// and diffs.
     pub fn render_pretty(&self) -> String {
         let mut out = String::new();
         self.write(&mut out, Some(2), 0);
@@ -417,7 +417,7 @@ mod tests {
     #[test]
     fn roundtrips_compound_values() {
         let doc = Json::obj([
-            ("schema", Json::Str("laelaps-bench/serve-load/v1".into())),
+            ("workload", Json::Str("deploy-open".into())),
             ("sessions", Json::num_u64(256)),
             ("rate", Json::Num(1.5)),
             ("ok", Json::Bool(true)),

@@ -23,17 +23,98 @@ use json::Json;
 use laelaps_serve::metrics::MetricFamily;
 use laelaps_serve::{SessionObsRow, SessionObsSnapshot};
 
-/// Parses a `--flag value` style argument list (tiny helper shared by the
-/// table binaries).
-pub fn arg_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1).cloned())
+/// A command line split into known flags and positionals by
+/// [`parse_args`].
+#[derive(Debug, Default)]
+pub struct Args {
+    usage: &'static str,
+    flags: Vec<(String, Option<String>)>,
+    /// The arguments that are neither a flag nor a flag's value, in order.
+    pub positionals: Vec<String>,
 }
 
-/// Whether a bare `--flag` is present.
-pub fn arg_present(args: &[String], flag: &str) -> bool {
-    args.iter().any(|a| a == flag)
+impl Args {
+    /// The value of the last `flag value` pair given for `flag`.
+    pub fn value(&self, flag: &str) -> Option<&str> {
+        let given = self.flags.iter().rev().find(|(name, _)| name == flag);
+        given.and_then(|(_, value)| value.as_deref())
+    }
+
+    /// Whether `flag` was given.
+    pub fn present(&self, flag: &str) -> bool {
+        self.flags.iter().any(|(name, _)| name == flag)
+    }
+
+    /// The value of `flag` as a `T`, or `default` when the flag was not
+    /// given; a value that does not parse is a usage error.
+    pub fn parsed<T: std::str::FromStr>(&self, flag: &str, default: T) -> T {
+        let Some(raw) = self.value(flag) else {
+            return default;
+        };
+        raw.parse()
+            .unwrap_or_else(|_| self.usage_error(&format!("{flag} does not take {raw:?}")))
+    }
+
+    /// Prints `reason` and the usage line to stderr and exits with
+    /// status 2.
+    pub fn usage_error(&self, reason: &str) -> ! {
+        eprintln!("{reason}\nusage: {}", self.usage);
+        std::process::exit(2);
+    }
+
+    /// These arguments, for a program that takes flags only; a
+    /// positional is a usage error.
+    pub fn flags_only(self) -> Self {
+        if let Some(extra) = self.positionals.first() {
+            self.usage_error(&format!("unexpected argument {extra:?}"));
+        }
+        self
+    }
+}
+
+/// Splits `argv` into known flags and positionals. `valued` flags take
+/// the next argument as their value, wherever they stand, so a flag's
+/// value is never read as a positional; `switches` stand alone.
+///
+/// # Errors
+///
+/// Any other argument starting with `-`, and a valued flag with nothing
+/// after it, are usage errors.
+pub fn parse_args(
+    usage: &'static str,
+    argv: &[String],
+    valued: &[&str],
+    switches: &[&str],
+) -> Result<Args, String> {
+    let mut args = Args {
+        usage,
+        ..Args::default()
+    };
+    let mut it = argv.iter();
+    while let Some(arg) = it.next() {
+        if valued.contains(&arg.as_str()) {
+            let value = it.next().ok_or_else(|| format!("{arg} takes a value"))?;
+            args.flags.push((arg.clone(), Some(value.clone())));
+        } else if switches.contains(&arg.as_str()) {
+            args.flags.push((arg.clone(), None));
+        } else if arg.starts_with('-') {
+            return Err(format!("unknown flag {arg:?}"));
+        } else {
+            args.positionals.push(arg.clone());
+        }
+    }
+    Ok(args)
+}
+
+/// [`parse_args`] over this process's arguments; a usage error exits
+/// with status 2 before the program does anything.
+pub fn args_or_exit(usage: &'static str, valued: &[&str], switches: &[&str]) -> Args {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let no_args = Args {
+        usage,
+        ..Args::default()
+    };
+    parse_args(usage, &argv, valued, switches).unwrap_or_else(|e| no_args.usage_error(&e))
 }
 
 /// The metric catalogue as one JSON object — what `laelapsctl stats
@@ -70,8 +151,7 @@ pub fn metrics_json(families: &[MetricFamily]) -> Json {
 
 /// The per-session observability view as JSON: `enabled`, `ticks`, the
 /// `top` rows worst first, and `lookup` when a session was asked for —
-/// what `laelapsctl sessions --json` prints and loadgen's artifact
-/// carries as `"session_obs"`.
+/// what `laelapsctl sessions --json` prints.
 pub fn session_obs_json(obs: &SessionObsSnapshot) -> Json {
     let mut fields = vec![
         ("enabled", Json::Bool(obs.enabled)),
@@ -119,14 +199,20 @@ mod tests {
     use super::*;
 
     #[test]
-    fn parses_flags() {
-        let args: Vec<String> = ["--scale", "900", "--quick"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        assert_eq!(arg_value(&args, "--scale").as_deref(), Some("900"));
-        assert_eq!(arg_value(&args, "--ids"), None);
-        assert!(arg_present(&args, "--quick"));
-        assert!(!arg_present(&args, "--full"));
+    fn splits_known_flags_from_positionals() {
+        let argv = |words: &[&str]| words.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let known =
+            |words: &[&str]| parse_args("", &argv(words), &["--limit", "--out"], &["--json"]);
+        let args = known(&["--limit", "5", "trace", "--json", "--out", "x"]).unwrap();
+        assert_eq!(args.positionals, ["trace"]);
+        assert_eq!(
+            (args.value("--limit"), args.parsed("--limit", 0u32)),
+            (Some("5"), 5)
+        );
+        assert_eq!(args.parsed("--count", 7u32), 7);
+        assert!(args.present("--json") && !args.present("--prom"));
+        for bad in [&["--sesions", "64"][..], &["--limit"], &["-h"]] {
+            assert!(known(bad).is_err(), "{bad:?}");
+        }
     }
 }

@@ -1,14 +1,36 @@
 //! End-to-end check of the `laelapsctl` binary: it must retrieve a live
 //! `StatsSnapshot` and a trace dump from a running
-//! [`laelaps_serve::net::IngestServer`] over TCP — the ISSUE acceptance
-//! criterion, exercised against the real compiled binary.
+//! [`laelaps_serve::net::IngestServer`] over TCP, exercised against the
+//! real compiled binary.
 
-use std::process::Command;
+use std::process::{Command, Output};
 use std::sync::Arc;
 
 use laelaps_bench::json::Json;
 use laelaps_serve::net::IngestServer;
 use laelaps_serve::{DetectionService, ModelRegistry, ServeConfig, TraceConfig};
+
+/// Runs the `laelapsctl` binary with `args`.
+fn ctl(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_laelapsctl"))
+        .args(args)
+        .output()
+        .expect("laelapsctl runs")
+}
+
+/// Runs `laelapsctl` with `args`, which must succeed, and returns its
+/// stdout.
+fn ctl_ok(args: &[&str]) -> String {
+    let out = ctl(args);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "laelapsctl {args:?}: {stderr}");
+    String::from_utf8_lossy(&out.stdout).into_owned()
+}
+
+/// [`ctl_ok`]'s stdout, parsed as JSON.
+fn ctl_json(args: &[&str]) -> Json {
+    Json::parse(&ctl_ok(args)).expect("valid JSON")
+}
 
 #[test]
 fn laelapsctl_reads_live_stats_and_traces_over_tcp() {
@@ -25,16 +47,7 @@ fn laelapsctl_reads_live_stats_and_traces_over_tcp() {
     let addr = server.local_addr().to_string();
 
     // `stats --json`: a machine-readable snapshot of the live service.
-    let out = Command::new(env!("CARGO_BIN_EXE_laelapsctl"))
-        .args(["--addr", &addr, "stats", "--json"])
-        .output()
-        .expect("laelapsctl runs");
-    assert!(
-        out.status.success(),
-        "stats failed: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let stats = Json::parse(&String::from_utf8_lossy(&out.stdout)).expect("valid JSON");
+    let stats = ctl_json(&["--addr", &addr, "stats", "--json"]);
     assert_eq!(
         stats.get("sessions").and_then(Json::as_f64),
         Some(0.0),
@@ -43,12 +56,7 @@ fn laelapsctl_reads_live_stats_and_traces_over_tcp() {
     assert_eq!(stats.get("trace_enabled").and_then(Json::as_f64), Some(1.0));
 
     // Plain `stats` renders human-readable text without failing.
-    let out = Command::new(env!("CARGO_BIN_EXE_laelapsctl"))
-        .args(["--addr", &addr, "stats"])
-        .output()
-        .expect("laelapsctl runs");
-    assert!(out.status.success());
-    let text = String::from_utf8_lossy(&out.stdout);
+    let text = ctl_ok(&["--addr", &addr, "stats"]);
     assert!(text.contains("sessions"), "text rendering: {text}");
     assert!(
         text.contains("trace           on"),
@@ -56,21 +64,21 @@ fn laelapsctl_reads_live_stats_and_traces_over_tcp() {
     );
 
     // `trace` exports Chrome trace-event JSON (empty: nothing streamed).
-    let out = Command::new(env!("CARGO_BIN_EXE_laelapsctl"))
-        .args(["--addr", &addr, "trace"])
-        .output()
-        .expect("laelapsctl runs");
-    assert!(
-        out.status.success(),
-        "trace failed: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let doc = Json::parse(&String::from_utf8_lossy(&out.stdout)).expect("valid JSON");
+    let doc = ctl_json(&["--addr", &addr, "trace"]);
     assert_eq!(
         doc.get("traceEvents").and_then(Json::as_array),
         Some(&[] as &[Json]),
         "no sessions streamed, so no spans"
     );
+
+    // A flag's value ahead of the command is still the flag's value.
+    let doc = ctl_json(&["--addr", &addr, "--limit", "5", "trace"]);
+    assert!(doc.get("traceEvents").is_some());
+
+    // A flag laelapsctl does not know is a usage error, not ignored.
+    let out = ctl(&["--addr", &addr, "stats", "--jsn"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown flag \"--jsn\""));
 
     drop(server);
     let _ = std::fs::remove_dir_all(&dir);
@@ -118,16 +126,7 @@ fn laelapsctl_ranks_live_sessions_over_tcp() {
     service.flush();
 
     // `sessions --json`: the streaming session is the (only) heavy hitter.
-    let out = Command::new(env!("CARGO_BIN_EXE_laelapsctl"))
-        .args(["--addr", &addr, "sessions", "--json"])
-        .output()
-        .expect("laelapsctl runs");
-    assert!(
-        out.status.success(),
-        "sessions failed: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let doc = Json::parse(&String::from_utf8_lossy(&out.stdout)).expect("valid JSON");
+    let doc = ctl_json(&["--addr", &addr, "sessions", "--json"]);
     assert_eq!(doc.get("enabled").and_then(Json::as_bool), Some(true));
     let top = doc.get("top").and_then(Json::as_array).expect("top array");
     assert_eq!(top.len(), 1, "one live session ranks");
@@ -140,42 +139,28 @@ fn laelapsctl_ranks_live_sessions_over_tcp() {
         Some(256.0 * 4.0 / 4.0)
     );
 
-    // `--session <id>` lookup rides the same reply.
-    let out = Command::new(env!("CARGO_BIN_EXE_laelapsctl"))
-        .args([
-            "--addr",
-            &addr,
-            "sessions",
-            "--session",
-            &session_id.to_string(),
-            "--json",
-        ])
-        .output()
-        .expect("laelapsctl runs");
-    assert!(out.status.success());
-    let doc = Json::parse(&String::from_utf8_lossy(&out.stdout)).expect("valid JSON");
-    let lookup = doc.get("lookup").expect("lookup row");
-    assert_eq!(
-        lookup.get("session").and_then(Json::as_f64),
-        Some(session_id as f64)
-    );
+    // `--session <id>` lookup rides the same reply, and the flag may
+    // stand ahead of the command.
+    let id = session_id.to_string();
+    for args in [
+        ["--addr", &addr, "sessions", "--session", &id, "--json"],
+        ["--addr", &addr, "--session", &id, "sessions", "--json"],
+    ] {
+        let doc = ctl_json(&args);
+        let lookup = doc.get("lookup").expect("lookup row");
+        assert_eq!(
+            lookup.get("session").and_then(Json::as_f64),
+            Some(session_id as f64),
+            "{args:?}"
+        );
+    }
 
     // Plain text rendering names the session and its patient.
-    let out = Command::new(env!("CARGO_BIN_EXE_laelapsctl"))
-        .args(["--addr", &addr, "sessions"])
-        .output()
-        .expect("laelapsctl runs");
-    assert!(out.status.success());
-    let text = String::from_utf8_lossy(&out.stdout);
+    let text = ctl_ok(&["--addr", &addr, "sessions"]);
     assert!(text.contains("C00"), "text rendering: {text}");
 
     // `stats --json` reports the per-session layer on.
-    let out = Command::new(env!("CARGO_BIN_EXE_laelapsctl"))
-        .args(["--addr", &addr, "stats", "--json"])
-        .output()
-        .expect("laelapsctl runs");
-    assert!(out.status.success());
-    let stats = Json::parse(&String::from_utf8_lossy(&out.stdout)).expect("valid JSON");
+    let stats = ctl_json(&["--addr", &addr, "stats", "--json"]);
     assert_eq!(
         stats.get("session_obs_enabled").and_then(Json::as_f64),
         Some(1.0)

@@ -50,7 +50,7 @@ fn fixture_stats() -> ServiceStats {
                         },
                     ),
                     (
-                        Stage::Classify,
+                        Stage::Drain,
                         HistogramSnapshot {
                             count: 2_559,
                             sum: 511_800,
@@ -106,7 +106,7 @@ fn fixture_health() -> HealthSnapshot {
         transitions_total: 2,
         rules: vec![
             RuleEval {
-                name: "stage_p99:classify".into(),
+                name: "stage_p99:drain".into(),
                 verdict: HealthVerdict::Ok,
                 fast_burn: 0.125,
                 slow_burn: 0.25,
@@ -230,7 +230,7 @@ fn golden_covers_the_ci_gate_patterns() {
     assert!(GOLDEN.contains("laelaps_health_verdict 1\n"));
     assert!(GOLDEN.contains("laelaps_health_enabled 1\n"));
     assert!(GOLDEN.contains("laelaps_slo_burn_rate{rule=\"drop_rate\",window=\"fast\"} 1.5\n"));
-    assert!(GOLDEN.contains("laelaps_stage_latency_us{stage=\"classify\",quantile=\"0.99\"}"));
+    assert!(GOLDEN.contains("laelaps_stage_latency_us{stage=\"drain\",quantile=\"0.99\"}"));
     assert!(GOLDEN.contains("laelaps_shard_ring_depth_chunks{shard=\"0\"} 7\n"));
     assert!(GOLDEN.contains("laelaps_session_obs_enabled 1\n"));
     assert!(

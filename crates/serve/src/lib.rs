@@ -38,7 +38,7 @@
 //!   a TCP front-end speaking the [`wire`] protocol, so remote producers
 //!   (a fleet of bedside acquisition devices) can drive the service.
 //!   Every message is one length-prefixed, checksummed frame (wire
-//!   version 8):
+//!   version 9):
 //!
 //!   ```text
 //!   offset  size  field
@@ -105,11 +105,14 @@
 //!   anywhere else. Timing is on by default
 //!   ([`ServeConfig::telemetry`]); switching it off reduces the
 //!   instrumentation to its plain atomic counters — no clock reads on
-//!   the hot path, and the `loadgen` overhead gate holds the enabled
+//!   the hot path, and `loadgen --overhead-check` holds the enabled
 //!   path within 2% of disabled. The cohort load harness
 //!   (`cargo run --release -p laelaps-bench --bin loadgen`) drives
-//!   hundreds of sessions through the service and writes the stage
-//!   percentiles plus sustained throughput to `BENCH_serve.json`.
+//!   hundreds of sessions through the service and writes its closing
+//!   catalogue as a Prometheus scrape (`--prom-out`). Throughput and
+//!   latency are measured by the repository benchmark (`perfbench/`,
+//!   `BENCHMARK.json`), which CI runs against the base commit
+//!   (`benchdiff`).
 //!
 //!   On top of the aggregate histograms, [`ServeConfig::trace`] turns on
 //!   **per-chunk causal tracing**: every accepted chunk gets a trace id
@@ -122,9 +125,10 @@
 //!   [`DetectionService::trace_snapshot`], or live over the wire: a
 //!   connection opening with `StatsRequest` / `TraceDumpRequest` gets
 //!   `StatsSnapshot` (the metric catalogue) / `TraceDump` replies — what
-//!   the `laelapsctl` binary in `laelaps-bench` renders, and what
-//!   `loadgen --trace-out` exports as Chrome trace-event JSON for
-//!   Perfetto. Tracing defaults off and then performs zero clock reads.
+//!   the `laelapsctl` binary in `laelaps-bench` renders (`laelapsctl
+//!   trace` and `loadgen --trace-out` both export Chrome trace-event
+//!   JSON for Perfetto). Tracing defaults off and then performs zero
+//!   clock reads.
 //!
 //!   [`ServeConfig::sessions`] adds the **per-session layer** on top:
 //!   every session carries a compact accounting cell
@@ -152,8 +156,8 @@
 //!   lookup) answers with `SessionStatsSnapshot` — what
 //!   `laelapsctl sessions` / `laelapsctl top` render. The catalogue
 //!   exports the top-K rows as bounded `laelaps_session_*` families
-//!   (`laelapsctl stats --prom`). The layer defaults **off**; enabled, the
-//!   loadgen overhead gate holds it within 3% of telemetry-only.
+//!   (`laelapsctl stats --prom`). The layer defaults **off**; enabled,
+//!   `loadgen --overhead-check` holds it within 3% of telemetry-only.
 //! * **Health & SLO** ([`ServeConfig::health`] / [`HealthSnapshot`]) —
 //!   a continuous judgment layer on top of the raw telemetry: a
 //!   dedicated evaluator thread samples the counters, gauges, and stage

@@ -17,7 +17,7 @@
 //! 8+P     8     four-lane word checksum of bytes [0, 8+P) (u64 LE)
 //! ```
 //!
-//! There is one protocol version, 8: writers stamp [`WIRE_VERSION`] on
+//! There is one protocol version, 9: writers stamp [`WIRE_VERSION`] on
 //! every frame and readers accept exactly that version. Readers gate on
 //! the version byte *before* verifying the checksum, so a frame from any
 //! other protocol version fails with [`ServeError::VersionMismatch`],
@@ -154,7 +154,7 @@ pub const WIRE_MAGIC: [u8; 2] = *b"LW";
 
 /// The wire format version: stamped on every frame, and the only one a
 /// reader accepts.
-pub const WIRE_VERSION: u8 = 8;
+pub const WIRE_VERSION: u8 = 9;
 
 /// Frame header length: magic + version + tag + payload length.
 pub const HEADER_LEN: usize = 8;

@@ -457,7 +457,6 @@ fn check_histograms(transport: Transport, timing: bool, run: &Run) {
             Stage::Drain => passes,
             Stage::Publish => published,
             Stage::AdaptRetrain | Stage::AdaptPropagate => 1,
-            Stage::Encode | Stage::Classify | Stage::Scatter => 0,
         }
     };
     for stage in Stage::ALL {

@@ -71,14 +71,10 @@ fn per_frame_path_populates_its_stages() {
             stage.name()
         );
     }
-    // Encode, classify and scatter are never recorded (the drain span
-    // covers them), and network/adaptation stages stay dark here.
+    // Network and adaptation stages stay dark here.
     for stage in [
         Stage::WireDecode,
         Stage::RingEnqueue,
-        Stage::Encode,
-        Stage::Classify,
-        Stage::Scatter,
         Stage::AdaptRetrain,
         Stage::AdaptPropagate,
     ] {

@@ -8,10 +8,9 @@ use crate::TelemetryConfig;
 /// adaptation loop's retrain and feedback→hot-swap propagation.
 ///
 /// Each stage owns one latency [`Histogram`] (microseconds) in a
-/// [`StageSet`]. [`Stage::Encode`], [`Stage::Classify`] and
-/// [`Stage::Scatter`] are never recorded (the drain span covers encode,
-/// classify and postprocess); they keep their discriminants because the
-/// wire protocol carries stage numbers.
+/// [`StageSet`]. The drain span covers encode, classify and postprocess.
+/// Stage numbers ride the wire (trace spans, health series words), so
+/// adding, removing or reordering a stage bumps the wire version.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(usize)]
 pub enum Stage {
@@ -27,12 +26,6 @@ pub enum Stage {
     /// One session's full drain pass: encode + classify + postprocess
     /// of every frame drained.
     Drain,
-    /// Never recorded; reserved so the wire's stage numbers stay stable.
-    Encode,
-    /// Never recorded; reserved so the wire's stage numbers stay stable.
-    Classify,
-    /// Never recorded; reserved so the wire's stage numbers stay stable.
-    Scatter,
     /// Publishing a pass's outputs: outbox append + service-bus fan-out.
     Publish,
     /// Adaptation engine: absorb + re-threshold + registry publish +
@@ -46,30 +39,24 @@ pub enum Stage {
 
 impl Stage {
     /// Every stage, in pipeline order.
-    pub const ALL: [Stage; 10] = [
+    pub const ALL: [Stage; 7] = [
         Stage::WireDecode,
         Stage::RingEnqueue,
         Stage::RingWait,
         Stage::Drain,
-        Stage::Encode,
-        Stage::Classify,
-        Stage::Scatter,
         Stage::Publish,
         Stage::AdaptRetrain,
         Stage::AdaptPropagate,
     ];
 
-    /// Stable machine-readable name (used as the JSON key in
-    /// `BENCH_serve.json`).
+    /// Stable machine-readable name: the `stage` label of the
+    /// Prometheus exposition and the name of a trace span.
     pub fn name(self) -> &'static str {
         match self {
             Stage::WireDecode => "wire_decode",
             Stage::RingEnqueue => "ring_enqueue",
             Stage::RingWait => "ring_wait",
             Stage::Drain => "drain",
-            Stage::Encode => "encode",
-            Stage::Classify => "classify",
-            Stage::Scatter => "scatter",
             Stage::Publish => "publish",
             Stage::AdaptRetrain => "adapt_retrain",
             Stage::AdaptPropagate => "adapt_propagate",
@@ -176,13 +163,13 @@ mod tests {
         assert!(snapshot.enabled);
         assert_eq!(snapshot.get(Stage::Drain).count, 1);
         assert_eq!(snapshot.get(Stage::Drain).max, 1500);
-        assert_eq!(snapshot.get(Stage::Classify).count, 0);
+        assert_eq!(snapshot.get(Stage::Publish).count, 0);
     }
 
     #[test]
     fn disabled_set_is_inert() {
         let set = StageSet::new(&TelemetryConfig::disabled());
-        set.record(Stage::Encode, 999);
+        set.record(Stage::Drain, 999);
         let snapshot = set.snapshot();
         assert!(!snapshot.enabled);
         assert!(snapshot.iter().all(|(_, h)| h.is_empty()));
