@@ -22,6 +22,15 @@
 //! between the codes and `H`, and nothing allocates but the returned
 //! `H`. [`SpatialEncoder::encode`] runs the kernel's spatial circuit for
 //! one frame.
+//!
+//! The kernel's circuit is written once and compiled once per lane: a
+//! portable lane on every target, which is the reference and is NEON on
+//! aarch64, and on x86-64 an AVX2 lane that holds each 256-component
+//! group in one register. Each kernel picks its lane once, when it is
+//! built, from what the running CPU reports; no setting chooses it, and
+//! every lane gives bit-identical vectors. The lanes share the circuit's
+//! code, so there is no lane trait and no hand-written intrinsic (see the
+//! kernel's module docs).
 
 mod kernel;
 

@@ -22,6 +22,27 @@
 //! flushed every 15 frames into the half window's count. Both counters
 //! are local variables. The window vector is then `H = prev + cur > hop`,
 //! a bit-sliced add and compare.
+//!
+//! # Lanes
+//!
+//! The circuit is written once, over `Group`'s four limbs, and compiled
+//! once per lane:
+//!
+//! - **portable**: the target's baseline instructions. It is the
+//!   reference every other lane matches bit for bit, and the only lane on
+//!   targets other than x86-64; on aarch64 it already compiles to NEON,
+//!   which is baseline there.
+//! - **AVX2** (x86-64): the same functions compiled again under
+//!   `#[target_feature(enable = "avx2")]`, where each `Group` operation
+//!   becomes one 256-bit `vpxor`, `vpand` or `vpor`.
+//!
+//! A [`Kernel`] picks its lane once, in [`Kernel::new`], from what the
+//! running CPU reports, never from a setting, and both entry points run
+//! on it. The circuit is `#[inline(always)]` throughout, so each lane's
+//! entry point holds its own copy of it. There is no lane trait and no
+//! `std::arch` intrinsic: the compiler already emits one instruction per
+//! operation, and a hand-written `Group` per lane would only repeat the
+//! circuit.
 
 use std::ops::{BitAnd, BitOr, BitXor};
 
@@ -64,6 +85,7 @@ impl Group {
     }
 
     /// Writes the first `out.len()` (at most four) limbs.
+    #[inline(always)]
     fn store(self, out: &mut [u64]) {
         out.copy_from_slice(&self.0[..out.len()]);
     }
@@ -136,6 +158,7 @@ fn at_least(count: &[Group], t: usize) -> Group {
 
 /// Adds the pre-counter `pending` into the bit-sliced `count`; the sum
 /// must fit.
+#[inline(always)]
 fn add_pending(count: &mut [Group], pending: &[Group; PENDING_PLANES]) {
     let mut carry = Group::ZERO;
     for (k, plane) in count.iter_mut().enumerate() {
@@ -146,6 +169,7 @@ fn add_pending(count: &mut [Group], pending: &[Group; PENDING_PLANES]) {
 
 /// Per component, whether `a + b > bound`, for bit-sliced counts of equal
 /// width whose sum fits one more plane.
+#[inline(always)]
 fn sum_exceeds(a: &[Group], b: &[Group], bound: usize) -> Group {
     let target = bound + 1;
     let mut carry = Group::ZERO;
@@ -163,8 +187,38 @@ pub(super) fn planes_for(max: usize) -> usize {
     (usize::BITS - max.leading_zeros()) as usize
 }
 
-/// The item memories in the kernel's layout, and the spatial majority
-/// rule.
+/// Where a kernel's circuit runs: the one circuit, compiled for the
+/// target's baseline or for a wider instruction set.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Lane {
+    /// The target's baseline instructions: the reference lane.
+    Portable,
+    /// 256-bit AVX2 registers, one per `Group`.
+    #[cfg(target_arch = "x86_64")]
+    Avx2,
+}
+
+impl Lane {
+    /// The widest lane the running CPU supports.
+    fn detect() -> Lane {
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("avx2") {
+            return Lane::Avx2;
+        }
+        Lane::Portable
+    }
+
+    /// Every lane the running CPU supports, the reference first.
+    #[cfg(test)]
+    fn supported() -> Vec<Lane> {
+        let mut lanes = vec![Lane::Portable, Lane::detect()];
+        lanes.dedup();
+        lanes
+    }
+}
+
+/// The item memories in the kernel's layout, the spatial majority rule,
+/// and the lane the circuit runs on.
 #[derive(Debug, Clone)]
 pub(super) struct Kernel {
     /// IM1: entry `g * symbols + c` is group `g` of code `c`'s vector.
@@ -180,10 +234,13 @@ pub(super) struct Kernel {
     /// `Some(n / 2)` when exact ties can occur and take the tie vector's
     /// bit; otherwise they go to 0.
     tie_at: Option<usize>,
+    /// Chosen once, from the running CPU.
+    lane: Lane,
 }
 
 impl Kernel {
-    /// Lays out the item memories, which must share one dimension.
+    /// Lays out the item memories, which must share one dimension, for
+    /// the widest lane the running CPU supports.
     ///
     /// # Panics
     ///
@@ -218,6 +275,24 @@ impl Kernel {
             n,
             planes: planes_for(n),
             tie_at: (policy == TiePolicy::TieBreakVector && n.is_multiple_of(2)).then_some(n / 2),
+            lane: Lane::detect(),
+        }
+    }
+
+    /// [`Kernel::new`] on `lane`, which must be one of
+    /// [`Lane::supported`].
+    #[cfg(test)]
+    fn on_lane(
+        lane: Lane,
+        im_codes: &ItemMemory,
+        im_electrodes: &ItemMemory,
+        tie: &Hypervector,
+        policy: TiePolicy,
+    ) -> Kernel {
+        assert!(Lane::supported().contains(&lane), "{lane:?} is unsupported");
+        Kernel {
+            lane,
+            ..Kernel::new(im_codes, im_electrodes, tie, policy)
         }
     }
 
@@ -265,13 +340,12 @@ impl Kernel {
 
     /// Writes one frame's spatial record into `out`, the record's limbs.
     pub(super) fn spatial(&self, frame: &[LbpCode], out: &mut [u64]) {
-        for (g, limbs) in out.chunks_mut(GROUP_LIMBS).enumerate() {
-            let record = if self.small() {
-                self.record::<SMALL_PLANES>(g, frame)
-            } else {
-                self.record::<WIDE_PLANES>(g, frame)
-            };
-            record.store(limbs);
+        match self.lane {
+            Lane::Portable => self.spatial_circuit(frame, out),
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `Lane::Avx2` is chosen only after
+            // `is_x86_feature_detected!("avx2")` returned true.
+            Lane::Avx2 => unsafe { self.spatial_avx2(frame, out) },
         }
     }
 
@@ -287,6 +361,57 @@ impl Kernel {
         prev: &mut [Group],
         h: Option<&mut [u64]>,
     ) {
+        match self.lane {
+            Lane::Portable => self.half_window_circuit(frames, hop, prev, h),
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `Lane::Avx2` is chosen only after
+            // `is_x86_feature_detected!("avx2")` returned true.
+            Lane::Avx2 => unsafe { self.half_window_avx2(frames, hop, prev, h) },
+        }
+    }
+
+    /// [`Kernel::spatial`] on the AVX2 lane.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn spatial_avx2(&self, frame: &[LbpCode], out: &mut [u64]) {
+        self.spatial_circuit(frame, out);
+    }
+
+    /// [`Kernel::half_window`] on the AVX2 lane.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn half_window_avx2(
+        &self,
+        frames: &[LbpCode],
+        hop: usize,
+        prev: &mut [Group],
+        h: Option<&mut [u64]>,
+    ) {
+        self.half_window_circuit(frames, hop, prev, h);
+    }
+
+    /// [`Kernel::spatial`]'s circuit, compiled into its caller's lane.
+    #[inline(always)]
+    fn spatial_circuit(&self, frame: &[LbpCode], out: &mut [u64]) {
+        for (g, limbs) in out.chunks_mut(GROUP_LIMBS).enumerate() {
+            let record = if self.small() {
+                self.record::<SMALL_PLANES>(g, frame)
+            } else {
+                self.record::<WIDE_PLANES>(g, frame)
+            };
+            record.store(limbs);
+        }
+    }
+
+    /// [`Kernel::half_window`]'s circuit, compiled into its caller's lane.
+    #[inline(always)]
+    fn half_window_circuit(
+        &self,
+        frames: &[LbpCode],
+        hop: usize,
+        prev: &mut [Group],
+        h: Option<&mut [u64]>,
+    ) {
         if self.small() {
             self.bundle::<SMALL_PLANES>(frames, hop, prev, h);
         } else {
@@ -294,6 +419,7 @@ impl Kernel {
         }
     }
 
+    #[inline(always)]
     fn bundle<const K: usize>(
         &self,
         frames: &[LbpCode],
@@ -332,6 +458,8 @@ impl Kernel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     /// Bit-sliced planes holding `counts[i]` at component `i`.
     fn planes_of(counts: &[usize], planes: usize) -> Vec<Group> {
@@ -382,5 +510,67 @@ mod tests {
         add_pending(&mut count, &pending);
         let sums: Vec<usize> = counts.iter().zip(&small).map(|(a, b)| a + b).collect();
         assert_eq!(count, planes_of(&sums, 9));
+    }
+
+    /// Everything `kernel` writes for two half windows of codes, `a` and
+    /// `b`: the spatial records of `a`'s first three rows, then
+    /// `half_window` unprimed and primed, each with `h` unset and set.
+    fn outputs(kernel: &Kernel, dim: usize, hop: usize, a: &[LbpCode], b: &[LbpCode]) -> Vec<u64> {
+        let limbs = dim.div_ceil(LIMB_BITS);
+        let mut out = Vec::new();
+        let mut record = vec![0; limbs];
+        for frame in a.chunks_exact(kernel.n).take(3) {
+            kernel.spatial(frame, &mut record);
+            out.extend_from_slice(&record);
+        }
+        let zero = vec![Group::ZERO; kernel.groups() * planes_for(hop)];
+        let mut h = vec![0; limbs];
+        let mut prev = zero.clone();
+        for (frames, with_h) in [(a, false), (b, true), (a, false)] {
+            kernel.half_window(frames, hop, &mut prev, with_h.then_some(&mut h[..]));
+            out.extend(prev.iter().flat_map(|g| g.0));
+            out.extend_from_slice(&h);
+        }
+        let mut prev = zero;
+        kernel.half_window(b, hop, &mut prev, Some(&mut h));
+        out.extend(prev.iter().flat_map(|g| g.0));
+        out.extend_from_slice(&h);
+        out
+    }
+
+    #[test]
+    fn every_supported_lane_matches_the_portable_lane_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(26);
+        for dim in [64, 200, 1000, 10000] {
+            // Both counter widths: up to 15 electrodes, and more.
+            for electrodes in [1, 2, 12, 15, 16, 128] {
+                let im_codes = ItemMemory::new(64, dim, rng.gen());
+                let im_electrodes = ItemMemory::new(electrodes, dim, rng.gen());
+                let tie = Hypervector::random(dim, &mut rng);
+                for policy in [TiePolicy::ZeroOnTie, TiePolicy::TieBreakVector] {
+                    let kernel =
+                        |lane| Kernel::on_lane(lane, &im_codes, &im_electrodes, &tie, policy);
+                    let reference = kernel(Lane::Portable);
+                    // The 15-frame pending flush lands on both sides of the
+                    // last frame.
+                    for hop in [1, 14, 15, 16, 256] {
+                        let mut codes = || -> Vec<LbpCode> {
+                            (0..hop * electrodes)
+                                .map(|_| rng.gen_range(0..64))
+                                .collect()
+                        };
+                        let (a, b) = (codes(), codes());
+                        let want = outputs(&reference, dim, hop, &a, &b);
+                        for lane in Lane::supported() {
+                            assert_eq!(
+                                outputs(&kernel(lane), dim, hop, &a, &b),
+                                want,
+                                "{lane:?}: d = {dim}, {electrodes} electrodes, {policy:?}, hop {hop}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 }

@@ -30,6 +30,11 @@
 //!    `// SeqCst:` comment justifying why acquire/release is not enough
 //!    (the model checker approximates `SeqCst` as `AcqRel`, so relying
 //!    on the total order silently weakens checking).
+//! 5. **target-feature-site** — `#[target_feature(..)]` (or a
+//!    `cfg_attr` carrying one) appears only in the encode kernel
+//!    (`core::encoder::kernel`), which compiles its one circuit once per
+//!    instruction-set lane: a SIMD copy of a circuit anywhere else would
+//!    be a second encode kernel.
 //!
 //! Every file the rule lists name must exist: a deleted or renamed file
 //! fails the lint instead of silently dropping out of its rule.
@@ -95,10 +100,15 @@ const FACADE_FILES: &[&str] = &[
     "crates/eval/src/pool.rs",
 ];
 
+/// Files under rule 5: the only place code is compiled for more than
+/// the target's baseline instruction set.
+const TARGET_FEATURE_FILES: &[&str] = &["crates/core/src/encoder/kernel.rs"];
+
 /// The file lists above, by name, for the existence check.
 const LINT_LISTS: &[(&str, &[&str])] = &[
     ("HOT_PATH_FILES", HOT_PATH_FILES),
     ("FACADE_FILES", FACADE_FILES),
+    ("TARGET_FEATURE_FILES", TARGET_FEATURE_FILES),
 ];
 
 /// One rule violation at a specific line.
@@ -253,6 +263,7 @@ fn lint_source(rel_path: &str, content: &str) -> Vec<Violation> {
     let test_tail = test_module_start(&lines);
     let hot_path = HOT_PATH_FILES.contains(&rel_path);
     let facade = FACADE_FILES.contains(&rel_path);
+    let target_feature_site = TARGET_FEATURE_FILES.contains(&rel_path);
     let mut out = Vec::new();
     for (idx, raw) in lines.iter().enumerate() {
         let line_no = idx + 1;
@@ -324,6 +335,18 @@ fn lint_source(rel_path: &str, content: &str) -> Vec<Violation> {
                 rule: "seqcst-justification",
                 message: "`SeqCst` without an adjacent `// SeqCst:` justification \
                           comment (the model checker treats SeqCst as AcqRel)"
+                    .to_string(),
+            });
+        }
+
+        // Rule 5: instruction-set lanes live in the encode kernel only.
+        if code.contains("target_feature(") && !target_feature_site {
+            out.push(Violation {
+                file: rel_path.to_string(),
+                line: line_no,
+                rule: "target-feature-site",
+                message: "`target_feature` outside the encode kernel — compile the \
+                          kernel's one circuit per lane in `core::encoder::kernel`"
                     .to_string(),
             });
         }
@@ -680,6 +703,33 @@ fn f(ptr: *const u8) -> u8 {
 x.store(1, Ordering::SeqCst);
 ";
         assert!(rules_hit("crates/x/src/lib.rs", justified).is_empty());
+    }
+
+    #[test]
+    fn seeded_target_feature_outside_the_kernel_fails() {
+        // A lane is the kernel's one circuit compiled for a wider
+        // instruction set; a `target_feature` anywhere else is a second
+        // SIMD copy of some circuit.
+        for src in [
+            "#[target_feature(enable = \"avx2\")]\n",
+            "#[cfg_attr(target_arch = \"x86_64\", target_feature(enable = \"avx2\"))]\n",
+        ] {
+            for file in ["crates/core/src/encoder.rs", "crates/core/src/hv/accum.rs"] {
+                assert_eq!(
+                    rules_hit(file, src),
+                    vec!["target-feature-site"],
+                    "{src} in {file} must be flagged"
+                );
+            }
+            assert!(rules_hit("crates/core/src/encoder/kernel.rs", src).is_empty());
+        }
+        // Detecting a feature, or compiling for one, is no new lane.
+        for src in [
+            "if is_x86_feature_detected!(\"avx2\") {\n",
+            "#[cfg(target_feature = \"avx2\")]\n",
+        ] {
+            assert!(rules_hit("crates/core/src/encoder.rs", src).is_empty());
+        }
     }
 
     #[test]
