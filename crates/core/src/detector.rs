@@ -1,7 +1,7 @@
 //! The complete streaming Laelaps detector: samples in, alarms out.
 
 use crate::am::{AssociativeMemory, Classification};
-use crate::encoder::Encoder;
+use crate::encoder::{frame_blocks, signal_len, Encoder, WindowVector};
 use crate::error::Result;
 use crate::model::PatientModel;
 use crate::postprocess::{Alarm, Postprocessor};
@@ -63,10 +63,33 @@ pub struct DetectorEvent {
 #[derive(Debug, Clone)]
 pub struct Detector {
     encoder: Encoder,
+    decide: Decide,
+}
+
+/// Everything after the encoder: classify a window, postprocess the
+/// label, and number the event.
+#[derive(Debug, Clone)]
+struct Decide {
     am: AssociativeMemory,
     post: Postprocessor,
     config: crate::LaelapsConfig,
     events: u64,
+}
+
+impl Decide {
+    fn event(&mut self, window: WindowVector) -> DetectorEvent {
+        let classification = self.am.classify(&window.vector);
+        let alarm = self.post.push(&classification);
+        let event = DetectorEvent {
+            index: self.events,
+            end_sample: window.end_sample,
+            time_secs: window.end_sample as f64 / self.config.sample_rate as f64,
+            classification,
+            alarm,
+        };
+        self.events += 1;
+        event
+    }
 }
 
 impl Detector {
@@ -81,10 +104,12 @@ impl Detector {
         let encoder = Encoder::new(config, model.electrodes())?;
         Ok(Detector {
             encoder,
-            am: model.am().clone(),
-            post: Postprocessor::new(config),
-            config: config.clone(),
-            events: 0,
+            decide: Decide {
+                am: model.am().clone(),
+                post: Postprocessor::new(config),
+                config: config.clone(),
+                events: 0,
+            },
         })
     }
 
@@ -93,10 +118,18 @@ impl Detector {
         self.encoder.electrodes()
     }
 
+    /// Frames pushed since the detector was built or reset. A frame
+    /// counts once the run of frames it was encoded with is done, its
+    /// event (if any) handed on, so after a panic it counts only
+    /// finished frames.
+    pub fn samples_seen(&self) -> u64 {
+        self.encoder.samples_seen()
+    }
+
     /// Overrides the Δ threshold `tr` (used during tuning sweeps).
     pub fn set_tr(&mut self, tr: f64) {
-        self.post.set_tr(tr);
-        self.config.tr = tr;
+        self.decide.post.set_tr(tr);
+        self.decide.config.tr = tr;
     }
 
     /// Replaces the associative memory (and Δ threshold) with a newer
@@ -124,7 +157,7 @@ impl Detector {
                 got: model.electrodes(),
             });
         }
-        if !model.config().same_pipeline(&self.config) {
+        if !model.config().same_pipeline(&self.decide.config) {
             return Err(crate::LaelapsError::InvalidConfig {
                 field: "config",
                 reason: "hot-swap requires an identical configuration \
@@ -132,13 +165,13 @@ impl Detector {
                     .into(),
             });
         }
-        self.am = model.am().clone();
-        self.post.set_tr(model.config().tr);
-        self.config.tr = model.config().tr;
+        self.decide.am = model.am().clone();
+        self.set_tr(model.config().tr);
         Ok(())
     }
 
-    /// Pushes one multichannel sample frame.
+    /// Pushes one multichannel sample frame: the one-frame case of
+    /// [`Detector::push_frames`].
     ///
     /// Returns `Some(DetectorEvent)` every 0.5 s once the pipeline is warm.
     ///
@@ -147,20 +180,27 @@ impl Detector {
     /// Returns [`crate::LaelapsError::ElectrodeMismatch`] if the frame
     /// width differs from the model's electrode count.
     pub fn push_frame(&mut self, frame: &[f32]) -> Result<Option<DetectorEvent>> {
-        let Some(window) = self.encoder.push_frame(frame)? else {
-            return Ok(None);
-        };
-        let classification = self.am.classify(&window.vector);
-        let alarm = self.post.push(&classification);
-        let event = DetectorEvent {
-            index: self.events,
-            end_sample: window.end_sample,
-            time_secs: window.end_sample as f64 / self.config.sample_rate as f64,
-            classification,
-            alarm,
-        };
-        self.events += 1;
-        Ok(Some(event))
+        let window = self.encoder.push_frame(frame)?;
+        Ok(window.map(|window| self.decide.event(window)))
+    }
+
+    /// Pushes any number of whole frames, frame-major (`frames ×
+    /// electrodes` samples), and hands each event they complete to
+    /// `emit`, in order. The events are exactly those that pushing the
+    /// frames one at a time through [`Detector::push_frame`] returns.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`crate::LaelapsError::ElectrodeMismatch`], before
+    /// encoding anything, if `samples` does not divide into whole frames.
+    pub fn push_frames(
+        &mut self,
+        samples: &[f32],
+        mut emit: impl FnMut(DetectorEvent),
+    ) -> Result<()> {
+        let decide = &mut self.decide;
+        self.encoder
+            .push_frames(samples, |window| emit(decide.event(window)))
     }
 
     /// Runs the detector over a whole multichannel signal, returning every
@@ -168,34 +208,23 @@ impl Detector {
     ///
     /// # Errors
     ///
-    /// Propagates the errors of [`Detector::push_frame`]; additionally
-    /// rejects ragged channel lengths.
+    /// Returns [`crate::LaelapsError::ElectrodeMismatch`] if the signal's
+    /// channel count differs from the model's electrode count, or
+    /// [`crate::LaelapsError::InvalidConfig`] for ragged channel lengths.
     pub fn run(&mut self, signal: &[Vec<f32>]) -> Result<Vec<DetectorEvent>> {
-        let len = signal.first().map_or(0, |ch| ch.len());
-        if signal.iter().any(|ch| ch.len() != len) {
-            return Err(crate::LaelapsError::InvalidConfig {
-                field: "signal",
-                reason: "all electrode channels must have equal length".into(),
-            });
-        }
+        let len = signal_len(signal, self.electrodes())?;
         let mut events = Vec::new();
-        let mut frame = vec![0.0f32; signal.len()];
-        for t in 0..len {
-            for (j, ch) in signal.iter().enumerate() {
-                frame[j] = ch[t];
-            }
-            if let Some(e) = self.push_frame(&frame)? {
-                events.push(e);
-            }
-        }
+        frame_blocks(signal, 0..len, |block| {
+            self.push_frames(block, |event| events.push(event))
+        })?;
         Ok(events)
     }
 
     /// Resets all streaming state, keeping the trained model.
     pub fn reset(&mut self) {
         self.encoder.reset();
-        self.post.reset();
-        self.events = 0;
+        self.decide.post.reset();
+        self.decide.events = 0;
     }
 }
 
@@ -311,11 +340,71 @@ mod tests {
         }
     }
 
+    /// The frame-major samples of an electrode-major signal.
+    fn frame_major(signal: &[Vec<f32>]) -> Vec<f32> {
+        (0..signal[0].len())
+            .flat_map(|t| signal.iter().map(move |ch| ch[t]))
+            .collect()
+    }
+
+    #[test]
+    fn push_frames_matches_push_frame_over_random_splits() {
+        let (model, signal) = trained_model(31);
+        let frames = frame_major(&signal);
+        let mut det = Detector::new(&model).unwrap();
+        let want: Vec<DetectorEvent> = frames
+            .chunks_exact(4)
+            .filter_map(|frame| det.push_frame(frame).unwrap())
+            .collect();
+        assert!(want.iter().any(|e| e.alarm.is_some()));
+        let mut rng = StdRng::seed_from_u64(37);
+        for _ in 0..4 {
+            det.reset();
+            let mut got = Vec::new();
+            let mut rest = &frames[..];
+            while !rest.is_empty() {
+                // From one frame to past two hops.
+                let run = rng.gen_range(1..=600).min(rest.len() / 4);
+                let (chunk, tail) = rest.split_at(run * 4);
+                det.push_frames(chunk, |e| got.push(e)).unwrap();
+                rest = tail;
+            }
+            assert_eq!(got, want);
+        }
+        det.reset();
+        assert_eq!(det.run(&signal).unwrap(), want);
+    }
+
+    #[test]
+    fn a_panic_mid_chunk_counts_only_the_finished_runs() {
+        let (model, signal) = trained_model(41);
+        let frames = frame_major(&signal);
+        let mut det = Detector::new(&model).unwrap();
+        let mut first = None;
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            det.push_frames(&frames, |event| {
+                if first.is_some() {
+                    panic!("second event");
+                }
+                first = Some(event);
+            })
+        }));
+        assert!(outcome.is_err());
+        // The run that ended at the first event finished; the one that
+        // ended at the second did not.
+        let first = first.expect("one event before the panic");
+        assert_eq!(det.samples_seen(), first.end_sample + 1);
+    }
+
     #[test]
     fn wrong_width_frame_rejected() {
         let (model, _) = trained_model(23);
         let mut det = Detector::new(&model).unwrap();
         assert!(det.push_frame(&[0.0; 3]).is_err());
+        assert!(det.push_frame(&[0.0; 8]).is_err());
+        // A partial frame fails the whole chunk before anything is encoded.
+        assert!(det.push_frames(&[0.0; 4 * 9 + 3], |_| {}).is_err());
+        assert_eq!(det.samples_seen(), 0);
         assert_eq!(det.electrodes(), 4);
     }
 

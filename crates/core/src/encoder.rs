@@ -12,16 +12,19 @@
 //!    count over the last two half windows exceeds `hop`, half of the 1 s
 //!    window, so one `H` appears every `hop` samples.
 //!
-//! [`Encoder::push_frame`] has the shape of the paper's GPU kernel
+//! [`Encoder::push_frames`] has the shape of the paper's GPU kernel
 //! (Fig. 2), which runs word-outer and electrodes-inner over a whole
-//! chunk of samples. A frame only advances the electrodes' LBP
-//! extractors and stores their codes in a `hop × electrodes` buffer. On
-//! the hop-th frame of a half window, one pass of the encode kernel
-//! (`encoder::kernel`) over the buffer computes the half window's counts
-//! with bit-sliced circuits and emits `H`. No hypervector is built
-//! between the codes and `H`, and nothing allocates but the returned
-//! `H`. [`SpatialEncoder::encode`] runs the kernel's spatial circuit for
-//! one frame.
+//! chunk of samples. It takes any number of whole frames and splits them
+//! into runs that end at a half-window boundary or at the end of the
+//! chunk. The encoder keeps one previous sample and one LBP code per
+//! electrode, and writes a run's codes in one pass straight into a
+//! `hop × electrodes` buffer. When the buffer is full, one pass of the
+//! encode kernel (`encoder::kernel`) over it computes the half window's
+//! counts with bit-sliced circuits and emits `H`. No hypervector is built
+//! between the codes and `H`, and nothing allocates but the emitted `H`s.
+//! [`Encoder::push_frame`] is the one-frame case of the same path, and
+//! [`SpatialEncoder::encode`] runs the kernel's spatial circuit for one
+//! frame.
 //!
 //! The kernel's circuit is written once and compiled once per lane: a
 //! portable lane on every target, which is the reference and is NEON on
@@ -37,7 +40,7 @@ mod kernel;
 use crate::config::LaelapsConfig;
 use crate::error::{LaelapsError, Result};
 use crate::hv::{Hypervector, ItemMemory};
-use crate::lbp::{LbpCode, LbpExtractor};
+use crate::lbp::{LbpCode, MAX_LBP_LEN};
 
 use kernel::{planes_for, Group, Kernel, MAX_ELECTRODES};
 use rand::rngs::StdRng;
@@ -204,7 +207,16 @@ pub struct WindowVector {
 #[derive(Debug, Clone)]
 pub struct Encoder {
     spatial: SpatialEncoder,
-    extractors: Vec<LbpExtractor>,
+    /// Each electrode's previous sample.
+    last: Box<[f32]>,
+    /// Each electrode's latest LBP code: its last ℓ comparisons, the
+    /// oldest in the top bit.
+    code: Box<[LbpCode]>,
+    /// Keeps a code's ℓ bits.
+    mask: LbpCode,
+    /// Frames after a reset that only seed `last` and `code`: the first
+    /// code needs ℓ comparisons, so it completes on frame ℓ (0-based).
+    warmup: u64,
     /// The current half window's codes: one row per warm frame, one code
     /// per electrode.
     codes: Box<[LbpCode]>,
@@ -242,9 +254,11 @@ impl Encoder {
         let prev = vec![Group::ZERO; spatial.kernel.groups() * planes_for(hop)];
         Ok(Encoder {
             spatial,
-            extractors: (0..electrodes)
-                .map(|_| LbpExtractor::new(config.lbp_len))
-                .collect(),
+            last: vec![0.0; electrodes].into_boxed_slice(),
+            code: vec![0; electrodes].into_boxed_slice(),
+            // `validate` holds ℓ to 1..=MAX_LBP_LEN, so the mask fits a code.
+            mask: LbpCode::MAX >> (MAX_LBP_LEN - config.lbp_len),
+            warmup: config.lbp_len as u64,
             codes: codes.into_boxed_slice(),
             filled: 0,
             prev: prev.into_boxed_slice(),
@@ -257,7 +271,7 @@ impl Encoder {
 
     /// Number of electrodes.
     pub fn electrodes(&self) -> usize {
-        self.extractors.len()
+        self.last.len()
     }
 
     /// Hypervector dimension.
@@ -265,7 +279,10 @@ impl Encoder {
         self.spatial.dim()
     }
 
-    /// Total samples pushed so far.
+    /// Frames pushed since the encoder was built or reset. A frame
+    /// counts once the run of frames it was encoded with is done, its
+    /// window (if any) handed on, so after a panic it counts only
+    /// finished frames.
     pub fn samples_seen(&self) -> u64 {
         self.samples_seen
     }
@@ -275,7 +292,8 @@ impl Encoder {
         &self.spatial
     }
 
-    /// Pushes one multichannel frame (one sample per electrode).
+    /// Pushes one multichannel frame (one sample per electrode): the
+    /// one-frame case of [`Encoder::push_frames`].
     ///
     /// Returns `Some(WindowVector)` whenever a full 1 s window (with 0.5 s
     /// overlap) completes — i.e. every `hop` samples after warm-up.
@@ -285,32 +303,90 @@ impl Encoder {
     /// Returns [`LaelapsError::ElectrodeMismatch`] if `frame.len()` differs
     /// from the electrode count.
     pub fn push_frame(&mut self, frame: &[f32]) -> Result<Option<WindowVector>> {
-        let n = self.extractors.len();
-        if frame.len() != n {
+        if frame.len() != self.electrodes() {
             return Err(LaelapsError::ElectrodeMismatch {
-                expected: n,
+                expected: self.electrodes(),
                 got: frame.len(),
             });
         }
-        self.samples_seen += 1;
-        let row = &mut self.codes[self.filled * n..][..n];
-        let mut warm = true;
-        for ((ex, &x), code) in self.extractors.iter_mut().zip(frame).zip(row) {
-            match ex.push(x) {
-                Some(c) => *code = c,
-                None => warm = false,
+        let mut window = None;
+        self.encode(frame, 1, |w| window = Some(w));
+        Ok(window)
+    }
+
+    /// Pushes any number of whole frames, frame-major (`frames ×
+    /// electrodes` samples), and hands each window they complete to
+    /// `emit`, in order. The windows are exactly those that pushing the
+    /// frames one at a time through [`Encoder::push_frame`] returns.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LaelapsError::ElectrodeMismatch`], before encoding
+    /// anything, if `samples` does not divide into whole frames; `got` is
+    /// the width of the partial frame left over.
+    pub fn push_frames(&mut self, samples: &[f32], emit: impl FnMut(WindowVector)) -> Result<()> {
+        let n = self.electrodes();
+        if !samples.len().is_multiple_of(n) {
+            return Err(LaelapsError::ElectrodeMismatch {
+                expected: n,
+                got: samples.len() % n,
+            });
+        }
+        self.encode(samples, samples.len() / n, emit);
+        Ok(())
+    }
+
+    /// The one encode path: `frames` whole frames of `samples`.
+    ///
+    /// Frames go in runs that end at a half-window boundary or at the end
+    /// of `samples`. A run's LBP codes are written in one pass straight
+    /// into its rows of the half-window buffer, and the kernel runs once
+    /// the buffer is full. `samples_seen` advances once a run is done.
+    fn encode(&mut self, samples: &[f32], frames: usize, mut emit: impl FnMut(WindowVector)) {
+        let n = self.electrodes();
+        let mask = self.mask;
+        let mut rest = samples;
+        let mut left = frames;
+        // Warm-up: the first ℓ frames after a reset only seed the LBP
+        // state. A comparison older than ℓ frames leaves the mask, so the
+        // code of frame ℓ holds exactly the frames since the reset.
+        while left > 0 && self.samples_seen < self.warmup {
+            let (frame, tail) = rest.split_at(n);
+            for ((&x, last), code) in frame.iter().zip(&mut *self.last).zip(&mut *self.code) {
+                *code = lbp_step(*code, *last, x, mask);
+                *last = x;
             }
+            self.samples_seen += 1;
+            rest = tail;
+            left -= 1;
         }
-        if !warm {
-            // All extractors warm up simultaneously; nothing to encode yet.
-            return Ok(None);
+        while left > 0 {
+            let run = left.min(self.hop - self.filled);
+            let rows = &mut self.codes[self.filled * n..][..run * n];
+            for f in 0..run {
+                let frame = &rest[f * n..][..n];
+                let row = &mut rows[f * n..][..n];
+                let state = self.last.iter_mut().zip(&mut *self.code);
+                for ((&x, (last, code)), out) in frame.iter().zip(state).zip(row) {
+                    *code = lbp_step(*code, *last, x, mask);
+                    *last = x;
+                    *out = *code;
+                }
+            }
+            rest = &rest[run * n..];
+            left -= run;
+            self.filled += run;
+            let end = self.samples_seen + run as u64;
+            if self.filled == self.hop {
+                self.close_half_window(end - 1, &mut emit);
+            }
+            self.samples_seen = end;
         }
-        self.filled += 1;
-        if self.filled < self.hop {
-            return Ok(None);
-        }
-        // Half-window boundary: bundle the buffered frames, and combine
-        // them with the previous half window into H once there is one.
+    }
+
+    /// Bundles the full half-window buffer and, once there is a previous
+    /// half window, emits `H` as the window ending at `end_sample`.
+    fn close_half_window(&mut self, end_sample: u64, emit: &mut impl FnMut(WindowVector)) {
         self.filled = 0;
         let mut h = self.primed.then(|| Hypervector::zero(self.dim()));
         self.spatial.kernel.half_window(
@@ -320,15 +396,15 @@ impl Encoder {
             h.as_mut().map(Hypervector::limbs_mut),
         );
         self.primed = true;
-        Ok(h.map(|vector| {
+        if let Some(vector) = h {
             let index = self.windows_emitted;
             self.windows_emitted += 1;
-            WindowVector {
+            emit(WindowVector {
                 vector,
-                end_sample: self.samples_seen - 1,
+                end_sample,
                 index,
-            }
-        }))
+            });
+        }
     }
 
     /// Encodes a whole multichannel signal and returns every `H` vector.
@@ -342,42 +418,75 @@ impl Encoder {
     /// from the electrode count, or [`LaelapsError::InvalidConfig`] if the
     /// channels have unequal lengths.
     pub fn encode_signal(&mut self, signal: &[Vec<f32>]) -> Result<Vec<WindowVector>> {
-        if signal.len() != self.extractors.len() {
-            return Err(LaelapsError::ElectrodeMismatch {
-                expected: self.extractors.len(),
-                got: signal.len(),
-            });
-        }
-        let len = signal.first().map_or(0, |ch| ch.len());
-        if signal.iter().any(|ch| ch.len() != len) {
-            return Err(LaelapsError::InvalidConfig {
-                field: "signal",
-                reason: "all electrode channels must have equal length".into(),
-            });
-        }
+        let len = signal_len(signal, self.electrodes())?;
         let mut out = Vec::new();
-        let mut frame = vec![0.0f32; signal.len()];
-        for t in 0..len {
-            for (j, ch) in signal.iter().enumerate() {
-                frame[j] = ch[t];
-            }
-            if let Some(wv) = self.push_frame(&frame)? {
-                out.push(wv);
-            }
-        }
+        frame_blocks(signal, 0..len, |block| {
+            self.push_frames(block, |window| out.push(window))
+        })?;
         Ok(out)
     }
 
-    /// Resets all streaming state (extractors, partial sums, counters).
+    /// Resets all streaming state (LBP state, partial sums, counters).
     pub fn reset(&mut self) {
-        for ex in &mut self.extractors {
-            ex.reset();
-        }
         self.filled = 0;
         self.primed = false;
         self.samples_seen = 0;
         self.windows_emitted = 0;
     }
+}
+
+/// One LBP step: `code` after sample `x` follows `last`. The new bit is
+/// 1 iff the amplitude rose, as in [`crate::lbp::LbpExtractor::push`].
+#[inline(always)]
+fn lbp_step(code: LbpCode, last: f32, x: f32, mask: LbpCode) -> LbpCode {
+    ((code << 1) | LbpCode::from(x > last)) & mask
+}
+
+/// The length of an electrode-major `signal` (`signal[j][t]`) of
+/// `electrodes` channels.
+///
+/// # Errors
+///
+/// [`LaelapsError::ElectrodeMismatch`] for another channel count, or
+/// [`LaelapsError::InvalidConfig`] if the channels have unequal lengths.
+pub(crate) fn signal_len(signal: &[Vec<f32>], electrodes: usize) -> Result<usize> {
+    if signal.len() != electrodes {
+        return Err(LaelapsError::ElectrodeMismatch {
+            expected: electrodes,
+            got: signal.len(),
+        });
+    }
+    let len = signal.first().map_or(0, Vec::len);
+    if signal.iter().any(|ch| ch.len() != len) {
+        return Err(LaelapsError::InvalidConfig {
+            field: "signal",
+            reason: "all electrode channels must have equal length".into(),
+        });
+    }
+    Ok(len)
+}
+
+/// Frames per block that [`frame_blocks`] hands on: one second at the
+/// paper's 512 Hz.
+const BLOCK_FRAMES: usize = 512;
+
+/// Hands samples `range` of an electrode-major `signal` to `push` as
+/// frame-major blocks of up to [`BLOCK_FRAMES`] frames, copied into one
+/// reused buffer, so encoding runs a chunk at a time.
+pub(crate) fn frame_blocks(
+    signal: &[Vec<f32>],
+    range: std::ops::Range<usize>,
+    mut push: impl FnMut(&[f32]) -> Result<()>,
+) -> Result<()> {
+    let mut block = Vec::with_capacity(range.len().min(BLOCK_FRAMES) * signal.len());
+    for start in range.clone().step_by(BLOCK_FRAMES) {
+        block.clear();
+        for t in start..range.end.min(start + BLOCK_FRAMES) {
+            block.extend(signal.iter().map(|ch| ch[t]));
+        }
+        push(&block)?;
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -549,11 +658,14 @@ mod tests {
     }
 
     #[test]
-    fn wide_montage_spatial_record_matches_dense_majority() {
-        // Far above the paper's 128 electrodes: a counter width no other
-        // test reaches.
-        let electrodes = 300;
-        for policy in [TiePolicy::ZeroOnTie, TiePolicy::TieBreakVector] {
+    fn spatial_record_matches_dense_majority_at_every_remainder() {
+        // Every `n mod 4` tail of the four-word counter step, on the
+        // small counter (n ≤ 15), the wide one, and far above the
+        // paper's 128 electrodes, a counter width no other test reaches.
+        let counts = (1..=7).chain(12..=19).chain(300..=303);
+        for (electrodes, policy) in counts.flat_map(|n| {
+            [TiePolicy::ZeroOnTie, TiePolicy::TieBreakVector].map(|policy| (n, policy))
+        }) {
             let config = LaelapsConfig::builder()
                 .dim(200)
                 .seed(9)
@@ -563,12 +675,20 @@ mod tests {
             let mut sp = SpatialEncoder::new(&config, electrodes).unwrap();
             let (im1, im2, tie) = (sp.code_memory(), sp.electrode_memory(), sp.tie_vector());
             let mut rng = StdRng::seed_from_u64(10);
-            let codes: Vec<u8> = (0..electrodes).map(|_| rng.gen_range(0..64)).collect();
-            let mut dense = DenseAccumulator::new(200);
-            for (e, &c) in codes.iter().enumerate() {
-                dense.add_xor(im2.get(e), im1.get(usize::from(c)));
+            // Every code, then few distinct codes, which make exact ties
+            // common.
+            for symbols in [64, 3, 3, 3] {
+                let codes: Vec<u8> = (0..electrodes).map(|_| rng.gen_range(0..symbols)).collect();
+                let mut dense = DenseAccumulator::new(200);
+                for (e, &c) in codes.iter().enumerate() {
+                    dense.add_xor(im2.get(e), im1.get(usize::from(c)));
+                }
+                assert_eq!(
+                    sp.encode(&codes),
+                    dense.majority_with(policy, &tie),
+                    "{electrodes} electrodes, {policy:?}"
+                );
             }
-            assert_eq!(sp.encode(&codes), dense.majority_with(policy, &tie));
         }
     }
 }

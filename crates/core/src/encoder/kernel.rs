@@ -10,9 +10,13 @@
 //! For one frame and one group, the spatial record is
 //!
 //! 1. **gathered**: electrode `e`'s bound word `IM2[e] ^ IM1[code(e)]`;
-//! 2. **counted**: pairs of bound words enter a carry-save adder (CSA)
-//!    whose carry ripples into a bit-sliced counter, plane `k` holding
-//!    bit `k` of every component's count;
+//! 2. **counted**: bound words enter a bit-sliced counter, plane `k`
+//!    holding bit `k` of every component's count, four at a time: two
+//!    carry-save adders (CSAs) fold four words into plane 0, a third
+//!    folds their two carries into plane 1, and its carry ripples up from
+//!    plane 2. The last `n mod 4` words go in as a pair (a CSA into plane
+//!    0, its carry rippled from plane 1), a single word (rippled from
+//!    plane 0), or both;
 //! 3. **thresholded**: a constant compare of the counter against the
 //!    strict majority `n/2 + 1`, plus the tie-break vector's bit where
 //!    exactly `n/2` electrodes agree under [`TiePolicy::TieBreakVector`].
@@ -317,10 +321,22 @@ impl Kernel {
         let mut planes = [Group::ZERO; K];
         let used = if K == SMALL_PLANES { K } else { self.planes };
         let count = &mut planes[..used];
-        let mut bound = electrodes
+        let bind = |e: Group, c: LbpCode| e ^ codes[usize::from(c)];
+        // Four words need three planes, which every counter of four or
+        // more electrodes has.
+        for (e, c) in electrodes.chunks_exact(4).zip(frame.chunks_exact(4)) {
+            let (sum, low) = csa(count[0], bind(e[0], c[0]), bind(e[1], c[1]));
+            let (sum, high) = csa(sum, bind(e[2], c[2]), bind(e[3], c[3]));
+            count[0] = sum;
+            let (sum, carry) = csa(count[1], low, high);
+            count[1] = sum;
+            ripple(&mut count[2..], carry);
+        }
+        let tail = self.n - self.n % 4;
+        let mut bound = electrodes[tail..]
             .iter()
-            .zip(frame)
-            .map(|(&e, &c)| e ^ codes[usize::from(c)]);
+            .zip(&frame[tail..])
+            .map(|(&e, &c)| bind(e, c));
         while let Some(a) = bound.next() {
             match bound.next() {
                 Some(b) => {

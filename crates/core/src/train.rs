@@ -9,7 +9,7 @@ use std::ops::Range;
 
 use crate::am::AmTrainer;
 use crate::config::LaelapsConfig;
-use crate::encoder::Encoder;
+use crate::encoder::{frame_blocks, Encoder};
 use crate::error::{LaelapsError, Result};
 use crate::model::PatientModel;
 
@@ -207,16 +207,9 @@ impl Trainer {
             });
         }
         encoder.reset();
-        let mut frame = vec![0.0f32; signal.len()];
-        for t in seg {
-            for (j, ch) in signal.iter().enumerate() {
-                frame[j] = ch[t];
-            }
-            if let Some(wv) = encoder.push_frame(&frame)? {
-                sink(&wv.vector);
-            }
-        }
-        Ok(())
+        frame_blocks(signal, seg, |block| {
+            encoder.push_frames(block, |window| sink(&window.vector))
+        })
     }
 }
 

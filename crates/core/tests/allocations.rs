@@ -1,6 +1,7 @@
 //! Heap allocations of the streaming path, counted by a global allocator:
 //! a frame that completes no window allocates nothing, and a frame that
-//! completes one allocates at most its window vector `H`.
+//! completes one allocates at most its window vector `H`. A chunk of
+//! frames allocates at most the windows it completes.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -107,7 +108,35 @@ fn encoder_allocates_only_the_windows_it_emits() {
             windows += emitted;
         }
         assert_eq!(windows, 13, "d = {}", config.dim);
+        encoder.reset();
+        let mut windows = 0;
+        for chunk in chunks(&frames(&config, electrodes), electrodes) {
+            let mut emitted = 0;
+            let (pushed, allocs) = allocations(|| encoder.push_frames(chunk, |_| emitted += 1));
+            pushed.expect("whole frames");
+            assert!(
+                allocs <= emitted,
+                "d = {}: {allocs} allocations for a chunk of {emitted} windows",
+                config.dim
+            );
+            windows += emitted;
+        }
+        assert_eq!(windows, 13, "d = {}", config.dim);
     }
+}
+
+/// `frames` split into chunks of 1 to 700 frames.
+fn chunks(frames: &[f32], electrodes: usize) -> Vec<&[f32]> {
+    let mut rng = StdRng::seed_from_u64(8);
+    let mut out = Vec::new();
+    let mut rest = frames;
+    while !rest.is_empty() {
+        let run = rng.gen_range(1..=700).min(rest.len() / electrodes);
+        let (chunk, tail) = rest.split_at(run * electrodes);
+        out.push(chunk);
+        rest = tail;
+    }
+    out
 }
 
 #[test]
@@ -142,5 +171,19 @@ fn detector_allocates_only_the_windows_it_emits() {
         }
         assert_eq!(events, 13, "d = {}", config.dim);
         assert!(ictal_events > 0, "d = {}: no ictal window", config.dim);
+        detector.reset();
+        let mut events = 0;
+        for chunk in chunks(&frames, electrodes) {
+            let mut emitted = 0;
+            let (pushed, allocs) = allocations(|| detector.push_frames(chunk, |_| emitted += 1));
+            pushed.expect("whole frames");
+            assert!(
+                allocs <= emitted,
+                "d = {}: {allocs} allocations for a chunk of {emitted} events",
+                config.dim
+            );
+            events += emitted;
+        }
+        assert_eq!(events, 13, "d = {}", config.dim);
     }
 }

@@ -394,20 +394,42 @@ proptest! {
         let frames = config.lbp_len + 1 + hop * 7 / 2;
         let reset_at = (reset_pick % frames as u64) as usize;
         let mut rng = <rand::rngs::StdRng as SeedableRng>::seed_from_u64(seed ^ 1);
+        let signal: Vec<f32> = (0..frames * electrodes)
+            .map(|_| rng.gen_range(-1.0..1.0))
+            .collect();
         let mut windows = 0;
-        for t in 0..frames {
+        // Runs of 1 frame to more than two hops, so that runs start and
+        // end inside the warm-up and cross half-window boundaries; one
+        // frame goes through `push_frame`, longer runs through
+        // `push_frames`. A run never crosses the reset.
+        let mut t = 0;
+        while t < frames {
             if t == reset_at {
                 encoder.reset();
                 reference = ReferenceEncoder::new(&config, electrodes);
             }
-            let frame: Vec<f32> = (0..electrodes).map(|_| rng.gen_range(-1.0..1.0)).collect();
-            let got = encoder
-                .push_frame(&frame)
-                .expect("frame width matches")
-                .map(|w| (w.vector, w.end_sample, w.index));
-            let want = reference.push(&frame);
-            windows += usize::from(want.is_some());
-            prop_assert_eq!(got, want, "frame {}", t);
+            let end = if t < reset_at { reset_at } else { frames };
+            let run = rng.gen_range(1..=2 * hop + 2).min(end - t);
+            let samples = &signal[t * electrodes..(t + run) * electrodes];
+            let mut got = Vec::new();
+            if run == 1 {
+                got.extend(encoder.push_frame(samples).expect("frame width matches"));
+            } else {
+                encoder
+                    .push_frames(samples, |w| got.push(w))
+                    .expect("whole frames");
+            }
+            let got: Vec<_> = got
+                .into_iter()
+                .map(|w| (w.vector, w.end_sample, w.index))
+                .collect();
+            let want: Vec<_> = samples
+                .chunks_exact(electrodes)
+                .filter_map(|frame| reference.push(frame))
+                .collect();
+            windows += want.len();
+            prop_assert_eq!(got, want, "frames {}..{}", t, t + run);
+            t += run;
         }
         prop_assert!(windows >= 1 || reset_at > hop);
     }

@@ -26,12 +26,15 @@
 //!
 //!   **Hot path.** Each shard worker has one drain path: per pass it
 //!   takes its shard's [`ready`] queue — the sessions given work since
-//!   their last drain — and runs each one's queued chunks through
-//!   [`laelaps_core::Detector::push_frame`] (encode → classify →
-//!   postprocess, one window at a time), polling for a staged hot-swap
-//!   between chunks. A push, a close, a dropped handle or a swap request
-//!   queues its session and wakes only that session's worker; a worker
-//!   whose queue is empty sleeps, so an idle session costs nothing. Encode is nearly all of a frame's cost; the two
+//!   their last drain — and hands each of their queued chunks to
+//!   [`laelaps_core::Detector::push_frames`] in one call (encode a run of
+//!   frames per half window, then classify → postprocess each window),
+//!   polling for a staged hot-swap between chunks. A detector that fails
+//!   or panics part-way through a chunk charges the frames it had not
+//!   finished to `frames_discarded`. A push, a close, a dropped handle
+//!   or a swap request queues its session and wakes only that session's
+//!   worker; a worker whose queue is empty sleeps, so an idle session
+//!   costs nothing. Encode is nearly all of a frame's cost; the two
 //!   Hamming distances of classify are a fraction of a percent, so
 //!   batching windows across sessions to amortise them does not pay.
 //! * **Network ingest** ([`net::IngestServer`] / [`net::IngestClient`]) —

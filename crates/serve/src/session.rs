@@ -303,8 +303,11 @@ impl SessionCore {
         // Stream position before this pass; only this worker advances the
         // counter, so base + frames_done is exact within the pass.
         let base_processed = self.counters.cell.processed();
-        // Frames of the aborted in-flight chunk lost to an error or panic;
-        // accounted as drops so frames_in == processed + dropped holds.
+        // The chunk in the detector: the detector's `samples_seen` when it
+        // went in, and its frames. Set until the chunk is done, so an
+        // error or panic leaves it behind.
+        let mut in_flight: Option<(u64, u64)> = None;
+        // Frames of the aborted chunk the detector did not finish.
         let mut aborted_tail: u64 = 0;
         let mut popped = 0;
         // Whether this pass applied a swap, whose gate it must settle
@@ -340,32 +343,40 @@ impl SessionCore {
                         // samples the whole pass).
                         let drain = clock.close(Stage::RingWait, chunk.mark, ctx).span_only();
                         let chunk_frames = (chunk.samples.len() / electrodes) as u64;
-                        // The whole chunk is unaccounted until each frame
-                        // completes — a panic on frame 0 must still charge
-                        // all of it to the discard counter.
-                        aborted_tail = chunk_frames;
-                        let mut in_chunk: u64 = 0;
-                        for frame in chunk.samples.chunks_exact(electrodes) {
-                            match detector.push_frame(frame) {
-                                Ok(Some(event)) => {
-                                    if let (Some(_), Some(id)) = (event.alarm, trace) {
-                                        clock.tracer.pin(id, PinReason::Alarm);
-                                    }
-                                    out.push(SessionOutput::Event(event));
-                                }
-                                Ok(None) => {}
-                                Err(e) => return Some(e.to_string()),
-                            }
-                            in_chunk += 1;
-                            frames_done += 1;
-                            aborted_tail = chunk_frames - in_chunk;
+                        in_flight = Some((detector.samples_seen(), chunk_frames));
+                        // The handle checked the chunk against the
+                        // session's width; the detector must share it.
+                        if detector.electrodes() != electrodes {
+                            let mismatch = laelaps_core::LaelapsError::ElectrodeMismatch {
+                                expected: detector.electrodes(),
+                                got: electrodes,
+                            };
+                            return Some(mismatch.to_string());
                         }
-                        aborted_tail = 0;
+                        let pushed = detector.push_frames(&chunk.samples, |event| {
+                            if let (Some(_), Some(id)) = (event.alarm, trace) {
+                                clock.tracer.pin(id, PinReason::Alarm);
+                            }
+                            out.push(SessionOutput::Event(event));
+                        });
+                        if let Err(e) = pushed {
+                            return Some(e.to_string());
+                        }
+                        in_flight = None;
+                        frames_done += chunk_frames;
                         clock.close(Stage::Drain, drain, ctx);
                         traced.extend(trace);
                     }
                     None
                 }));
+            // An aborted chunk's frames that the detector finished count
+            // as processed, the rest as discarded, so frames_in ==
+            // processed + discarded holds.
+            if let Some((start, frames)) = in_flight {
+                let done = detector.samples_seen() - start;
+                frames_done += done;
+                aborted_tail = frames - done;
+            }
             record_failure(&mut state, outcome)
         } else {
             false
@@ -953,7 +964,7 @@ mod tests {
         let core = SessionCore {
             id: 0,
             patient: "P-broken".into(),
-            electrodes: 4, // detector expects 2 → push_frame errors
+            electrodes: 4, // detector expects 2 → the drain rejects it
             shard: 0,
             config,
             ring_depth: tx.depth_gauge(),

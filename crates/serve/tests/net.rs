@@ -39,14 +39,22 @@ fn registry_with_models(tag: &str, patients: usize) -> (Arc<ModelRegistry>, Vec<
 #[test]
 fn sixteen_tcp_clients_match_bare_detectors_with_backpressure() {
     let clients = 16;
+    let workers = 4;
     let (registry, ids) = registry_with_models("parity", clients);
-    // Small rings + fewer workers than clients: sustained pushes must hit
-    // Full and surface as Throttle rather than drops.
+    // Small rings + fewer workers than clients: pushes must hit Full and
+    // surface as Throttle rather than drops.
     let service = Arc::new(DetectionService::new(ServeConfig {
-        workers: 4,
+        workers,
         ring_chunks: 2,
         ..ServeConfig::default()
     }));
+    // Workers that keep pace with the producers never let a ring fill, so
+    // every shard stays wedged until each connection has been throttled:
+    // with nothing draining, each connection's third chunk finds its
+    // 2-chunk ring full, and its reader sends one Throttle and waits.
+    for shard in 0..workers {
+        service.debug_wedge_shard(shard, true);
+    }
     let server = IngestServer::bind("127.0.0.1:0", Arc::clone(&service), Arc::clone(&registry))
         .expect("server binds");
     let addr = server.local_addr();
@@ -57,24 +65,49 @@ fn sixteen_tcp_clients_match_bare_detectors_with_backpressure() {
         .collect();
 
     let throttles_observed: u64 = std::thread::scope(|scope| {
-        let mut workers = Vec::new();
+        let mut producers = Vec::new();
         for (i, id) in ids.iter().enumerate() {
             let signal = &signals[i];
-            workers.push(scope.spawn(move || {
+            producers.push(scope.spawn(move || {
                 let mut client = IngestClient::connect(addr, id, 4).expect("handshake succeeds");
                 let interleaved = interleave(signal);
                 // 256-frame chunks (0.5 s of signal per wire frame).
                 for chunk in interleaved.chunks(256 * 4) {
                     client.send_chunk(chunk).expect("chunk sends");
                 }
+                // The server throttled this connection before any shard
+                // was unwedged; wait for that message to arrive.
+                let deadline = std::time::Instant::now() + Duration::from_secs(60);
+                while client.throttles_seen() == 0 {
+                    assert!(
+                        std::time::Instant::now() < deadline,
+                        "client {i}: no Throttle"
+                    );
+                    std::thread::sleep(Duration::from_millis(2));
+                }
                 let throttles = client.throttles_seen();
                 let events = client.finish().expect("server drains and closes cleanly");
                 (events, throttles)
             }));
         }
+        // A reader throttles once per chunk and, with every shard
+        // wedged, never gets past its first full ring: 16 throttles mean
+        // every connection was throttled.
+        let deadline = std::time::Instant::now() + Duration::from_secs(60);
+        while server.throttles_sent() < clients as u64 {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "only {} of {clients} connections throttled",
+                server.throttles_sent()
+            );
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        for shard in 0..workers {
+            service.debug_wedge_shard(shard, false);
+        }
         let mut total_throttles = 0;
-        for (i, worker) in workers.into_iter().enumerate() {
-            let (events, throttles) = worker.join().expect("client thread survives");
+        for (i, producer) in producers.into_iter().enumerate() {
+            let (events, throttles) = producer.join().expect("client thread survives");
             let expected = Detector::new(registry.load(&ids[i]).unwrap().as_ref())
                 .unwrap()
                 .run(&signals[i])
@@ -84,6 +117,7 @@ fn sixteen_tcp_clients_match_bare_detectors_with_backpressure() {
                 events, expected,
                 "client {i}: TCP event stream must be identical to a bare Detector"
             );
+            assert!(throttles >= 1, "client {i} saw no throttle");
             total_throttles += throttles;
         }
         total_throttles
